@@ -73,6 +73,9 @@ def cases(rng):
         ("baum_welch B=1 T=50", [50]),
         ("baum_welch B=1 T=1500", [1500]),
         ("baum_welch B=100 T<=1500", rng.integers(50, 1501, size=100).tolist()),
+        # long whole-window fits, where the engine's cost per time step shows
+        ("baum_welch B=3 T~1000", rng.integers(950, 1051, size=3).tolist()),
+        ("baum_welch B=100 T~300", rng.integers(250, 351, size=100).tolist()),
     ):
         yield (
             name,

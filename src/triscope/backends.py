@@ -16,7 +16,8 @@ compared by ``benchmarks/bench_backends.py``.
 
 Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
 fits many sequences in one call: the numpy version vectorizes each time step
-across the batch, the compiled version loops its single-sequence kernel.
+across the batch, and runs long sequences as a chunked two-level scan (see
+``_chunk_starts``); the compiled version loops its single-sequence kernel.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ _BATCH_CELLS = 1 << 21
 # a sequence joins a length bucket while the bucket's longest member is at
 # most this many times longer, so padding is under half of each batch
 _BUCKET_SPAN = 2
+# steps per chunk of the blocked forward-backward scan (see _chunk_starts)
+_CHUNK = 16
+# a sequence of at most this many steps runs the plain per-step recursion,
+# one chunk of its own length: on wide batches, up to four chunks save no
+# time, because the transfer products do more arithmetic per step
+_PLAIN_STEPS = 4 * _CHUNK
 
 
 def baum_welch_batch_np(seqs, trans, init, means, variances, var_floor, tol, max_iter):
@@ -118,6 +125,7 @@ def baum_welch_batch_np(seqs, trans, init, means, variances, var_floor, tol, max
             stop < order.size
             and (stop - start + 1) * top <= _BATCH_CELLS
             and lengths[order[stop]] * _BUCKET_SPAN >= top
+            and (lengths[order[stop]] > _PLAIN_STEPS) == (top > _PLAIN_STEPS)
         ):
             stop += 1
         idx = order[start:stop]
@@ -132,26 +140,158 @@ def baum_welch_batch_np(seqs, trans, init, means, variances, var_floor, tol, max
     return trans, init, means, variances, hists
 
 
+def _chunk_starts(e, mat, first):
+    """Levels 1-2 of the blocked scan: the vector entering each chunk.
+
+    Arrays are chunk-major: column ``c * B + k`` of ``e`` (K, n, C*B) holds
+    the emission factors of chunk ``c`` of sequence ``k``, and ``mat`` (n, n,
+    C*B) the step matrix of its chunk's sequence. A scan maps its state
+    vector ``y`` to ``normalize((y * e[t]) @ mat)`` at each step; ``first``
+    (n, B) enters chunk 0 unchanged. Level 1 forms every chunk's transfer
+    product at once in K steps, renormalized at each step because emission
+    factors are at most 1 and unnormalized products underflow. Level 2
+    carries the entering vector across the chunk ends in order. Returns
+    (n, C*B).
+    """
+    K, n, width = e.shape
+    B = first.shape[1]
+    starts = np.empty((n, width))
+    starts[:, :B] = first
+    w = width - B  # the last chunk's product is never used
+    if not w:
+        return starts
+    ec, mc = e[:, :, :w], mat[:, :, :w]
+    prod = ec[0][:, None] * mc
+    for k in range(1, K):
+        pe = prod * ec[k]
+        prod = pe[:, 0, None] * mc[0]
+        for j in range(1, n):
+            prod += pe[:, j, None] * mc[j]
+        s = prod[0, 0]
+        for i in range(n):
+            for j in range(n):
+                if i or j:
+                    s = s + prod[i, j]
+        prod /= s
+    y = first
+    for lo in range(0, w, B):
+        v = y[0] * prod[0, :, lo : lo + B]
+        for i in range(1, n):
+            v += y[i] * prod[i, :, lo : lo + B]
+        s = v[0]
+        for j in range(1, n):
+            s = s + v[j]
+        y = starts[:, lo + B : lo + 2 * B] = v / s
+    return starts
+
+
+def _forward(b, trans, init):
+    """Scaled forward pass on chunk-major emission factors ``b`` (K, n, C*B)
+    with ``trans`` tiled to (n, n, C*B): level 3 runs the per-step
+    recursion in all chunks at once from each chunk's entering prediction.
+    Returns normalized ``alpha`` in the same layout and the per-step
+    ``scale`` (K, C*B)."""
+    K, n, width = b.shape
+    alpha = np.empty_like(b)
+    scale = np.empty((K, width))
+    raw = _chunk_starts(b, trans, init) * b[0]
+    for k in range(K):
+        if k:
+            raw = alpha[k - 1, 0] * trans[0]
+            for j in range(1, n):
+                raw += alpha[k - 1, j] * trans[j]
+            raw *= b[k]
+        s = raw[0]
+        for i in range(1, n):
+            s = s + raw[i]
+        np.divide(raw, s, out=alpha[k])
+        scale[k] = s
+    return alpha, scale
+
+
+def _backward(b, trans, B):
+    """Backward pass, normalized per step, in reversed time: ``b`` holds the
+    emission factors of each sequence read backward from its own last step,
+    chunk-major as in :func:`_forward`, and so does the returned ``beta``.
+    Each sequence starts from uniform at its own last step."""
+    K, n, _ = b.shape
+    beta = np.empty_like(b)
+    beta[0] = _chunk_starts(b, np.swapaxes(trans, 0, 1), np.full((n, B), 1.0 / n))
+    for k in range(1, K):
+        nxt = b[k - 1] * beta[k - 1]
+        v = trans[:, 0] * nxt[0]
+        for j in range(1, n):
+            v += trans[:, j] * nxt[j]
+        s = v[0]
+        for i in range(1, n):
+            s = s + v[i]
+        np.divide(v, s, out=beta[k])
+    return beta
+
+
+def _chunking(T):
+    """(chunks, chunk length) covering ``T`` steps: one chunk of exactly
+    ``T`` steps, the plain recursion, when ``T <= _PLAIN_STEPS``."""
+    if T <= _PLAIN_STEPS:
+        return 1, T
+    return -(-T // _CHUNK), _CHUNK
+
+
+def _to_chunks(a, C, K):
+    """(C*K, n, B) in time order -> chunk-major (K, n, C*B)."""
+    return a.reshape(C, K, a.shape[1], -1).transpose(1, 2, 0, 3).reshape(K, a.shape[1], -1)
+
+
+def _from_chunks(a, C, K):
+    """Chunk-major (K, n, C*B) -> (C*K, n, B) in time order."""
+    return a.reshape(K, a.shape[1], C, -1).transpose(2, 0, 1, 3).reshape(C * K, a.shape[1], -1)
+
+
+def _reversal(L, C, K, n):
+    """Flat indices between a (C*K, n, B) time-ordered array and the
+    chunk-major layout of each column's first ``L[k]`` steps in reversed
+    time.
+
+    ``to_rev`` takes time order to reversed chunk-major (K, n, C*B), where
+    padding repeats the column's step 0; ``back`` takes that layout to time
+    order (C*K, n, B), where padding gets reversed step 0, the uniform
+    start.
+    """
+    B = L.size
+    t = np.arange(C * K)[:, None]
+    r = np.where(t < L, L - 1 - t, 0)  # the step at the other end of time
+    to_rev = r[:, None, :] * (n * B) + (np.arange(n)[:, None] * B + np.arange(B))
+    if C == 1:
+        return to_rev, to_rev
+    c, k = np.divmod(r, K)
+    back = (k * (n * C * B) + c * B + np.arange(B))[:, None, :] + np.arange(n)[:, None] * (C * B)
+    return _to_chunks(to_rev, C, K), back
+
+
 def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     """One padded batch of :func:`baum_welch_batch_np`; ``seqs`` are sorted
     by non-increasing length.
 
     The observations form a (T, B) matrix, each column edge-padded past its
-    own length ``L``. The scaled forward-backward recursions loop over time
-    in Python and do each step's arithmetic across the batch, with explicit
-    loops over states. Every quantity of a sequence is computed from that
-    sequence's first ``L`` steps only, by the same operations in the same
-    order whatever its companions: the backward pass restarts from uniform
-    at each column's own last step, and every sum over time is a sequential
-    cumulative sum read at the column's own end. A sequence leaves the
-    batch once its log-likelihood gain drops below ``tol`` (or at
+    own length ``L`` and the batch past ``T`` to whole chunks. The scaled
+    forward and backward recursions run as a blocked scan, chunks of
+    ``_CHUNK`` steps (see :func:`_chunk_starts`), with each step's
+    arithmetic done across all chunks of the batch and explicit loops over
+    states. Every quantity of a sequence is computed from that sequence's
+    first ``L`` steps only, by the same operations in the same order
+    whatever its companions: forward chunks start at t = 0, the backward
+    pass scans each column in its own reversed time from uniform at its own
+    last step, so padding never feeds a real step, and every sum over time
+    is a sequential cumulative sum read at the column's own end. A sequence
+    leaves the batch once its log-likelihood gain drops below ``tol`` (or at
     ``max_iter``).
     """
     B = len(seqs)
     n = init.shape[1]
     L = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     T = int(L[0])
-    obs = np.empty((T, B))
+    C, K = _chunking(T)
+    obs = np.empty((C * K, B))
     for k, s in enumerate(seqs):
         obs[: L[k], k] = s
         obs[L[k] :, k] = s[-1]
@@ -169,32 +309,25 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
     hists = [None] * B
     rows = np.arange(B)  # batch position of each live column
     cols = np.arange(B)
+    pad = np.arange(C * K)[:, None] >= L
+    to_rev, back = _reversal(L, C, K, n)
     prev_ll = None
 
     for it in range(max_iter + 1):
         log_var = np.log(variances)
-        logb = np.empty((T, n, rows.size))
+        b = np.empty((C * K, n, rows.size))  # log-densities, then factors
         for i in range(n):
             d = obs - means[i]
-            logb[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / variances[i])
-        shifts = logb.max(axis=1)
-        b = np.exp(logb - shifts[:, None])
+            b[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / variances[i])
+        shifts = b.max(axis=1)
+        np.exp(np.subtract(b, shifts[:, None], out=b), out=b)
+        # unit factors in the padding: its forward steps keep a positive sum
+        np.copyto(b, 1.0, where=pad[:, None, :])
 
-        alpha = np.empty((T, n, rows.size))
-        scale = np.empty((T, rows.size))
-        raw = init * b[0]
-        for t in range(T):
-            if t:
-                raw = alpha[t - 1, 0] * trans[0]
-                for j in range(1, n):
-                    raw += alpha[t - 1, j] * trans[j]
-                raw *= b[t]
-            s = raw[0]
-            for i in range(1, n):
-                s = s + raw[i]
-            np.divide(raw, s, out=alpha[t])
-            scale[t] = s
-        ll = np.cumsum(np.log(scale) + shifts, axis=0)[L - 1, cols]
+        alpha, scale = _forward(_to_chunks(b, C, K), np.tile(trans, C), init)
+        alpha = _from_chunks(alpha, C, K)
+        scale = scale.reshape(K, C, -1).transpose(1, 0, 2).reshape(C * K, -1)
+        ll = np.cumsum(np.log(scale[:T]) + shifts[:T], axis=0)[L - 1, cols]
 
         hist[it, rows] = ll
         done = np.full(rows.size, it == max_iter)
@@ -213,28 +346,21 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
                 break
             rows, L, ll = rows[keep], L[keep], ll[keep]
             T = int(L[0])
-            obs, alpha, b = obs[:T, keep], alpha[:T, :, keep], b[:T, :, keep]
+            C, K = _chunking(T)
+            obs, alpha, b = obs[: C * K, keep], alpha[: C * K, :, keep], b[: C * K, :, keep]
             trans, init = trans[:, :, keep], init[:, keep]
             means, variances = means[:, keep], variances[:, keep]
             cols = np.arange(rows.size)
+            pad = pad[: C * K, keep]
+            to_rev, back = _reversal(L, C, K, n)
         prev_ll = ll
 
-        # backward pass, normalized per step (scale cancels in gamma/xi);
-        # live[t] counts the columns still inside their sequence at step t
-        live = np.searchsorted(-L, -np.arange(T + 1)).tolist()
-        beta = np.empty((T, n, rows.size))
-        beta[T - 1] = 1.0 / n
-        for t in range(T - 2, -1, -1):
-            nxt = b[t + 1] * beta[t + 1]
-            v = trans[:, 0] * nxt[0]
-            for j in range(1, n):
-                v += trans[:, j] * nxt[j]
-            s = v[0]
-            for i in range(1, n):
-                s = s + v[i]
-            np.divide(v, s, out=beta[t])
-            if live[t + 1] < rows.size:
-                beta[t, :, live[t + 1] :] = 1.0 / n
+        # past a column's step 0 the reversed scan may divide 0 by 0 (a
+        # state no transition enters); those steps are never read back
+        with np.errstate(invalid="ignore", divide="ignore"):
+            beta = _backward(np.take(b, to_rev), np.tile(trans, C), rows.size)
+        beta = np.take(beta, back)[:T]
+        alpha, b, o = alpha[:T], b[:T], obs[:T]
 
         gamma = alpha * beta
         gs = gamma[:, 0]
@@ -249,6 +375,7 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
             for j in range(n):
                 if i or j:
                     ms = ms + m[i][j]
+        del alpha, beta, b, nxt  # freed before the M-step, whose sums set peak memory
 
         # M-step; every sum over time is read at the column's own end
         cg = np.cumsum(gamma, axis=0)
@@ -267,12 +394,13 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
                     trans[i, j] = np.where(gsum_tr[i] > 0.0, row[j] / rs, trans[i, j])
             for i in range(n):
                 g = gamma[:, i]
-                mu = np.cumsum(g * obs, axis=0)[L - 1, cols] / gsum_all[i]
-                dev = obs - mu
+                mu = np.cumsum(g * o, axis=0)[L - 1, cols] / gsum_all[i]
+                dev = o - mu
                 var = np.cumsum(g * (dev * dev), axis=0)[L - 1, cols] / gsum_all[i]
                 ok = gsum_all[i] > 0.0
                 means[i] = np.where(ok, mu, means[i])
                 variances[i] = np.where(ok, np.where(var > floor, var, floor), variances[i])
+        del gamma, m, ms, cg  # freed before the next iteration's passes
 
     return out_trans, out_init, out_means, out_vars, hists
 

@@ -38,7 +38,9 @@ from .ingest import (
 from .synth import RNG_NAME, EventSpec, GroundTruth, SynthConfig, generate
 from .tensor import read_tensor_text, write_tensor_text
 from .trajectory import Trajectory, build_trajectories
-from .tucker import anova_interaction, hooi, load_model, save_model, scree_select
+# ``hooi`` is not called here; pipebench/tracer.py wraps ``cli.hooi``, so the
+# name stays importable from this module
+from .tucker import anova_interaction, hooi, load_model, save_model, scree_select  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -283,6 +285,11 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
         hourly,
         HmmConfig(seed=cfg.hmm_seed, min_obs=cfg.min_obs, tol=cfg.hmm_tol, max_iter=cfg.hmm_max_iter),
     )
+    print(
+        f"ingest: {ft.hmm_fits_at_max_iter} of {ft.hmm_fits} HMM fits reached "
+        f"max_iter={cfg.hmm_max_iter}",
+        file=sys.stderr,
+    )
     ft = preprocess(ft)
     write_tensor_text(ft.tensor, out / "tensor.txt")
     prov = ft.provenance
@@ -334,10 +341,8 @@ def stage_decompose(cfg: PipelineConfig):
             sel = 1 if (p, q, r) == result.selected else 0
             f.write(f"{p},{q},{r},{_fr(fit)},{sel}\n")
 
-    p, q, r = result.selected
-    model = hooi(x, p, q, r, tol=cfg.tucker_tol, max_iter=cfg.tucker_max_iter)
-    save_model(model, out / "model.txt")
-    return model
+    save_model(result.model, out / "model.txt")
+    return result.model
 
 
 def stage_rank(cfg: PipelineConfig):

@@ -44,7 +44,8 @@ class HmmModel:
     ``variances``. ``degenerate`` marks models produced from constant
     observation sequences; ``loglik_history`` holds the per-iteration
     log-likelihoods of the Baum-Welch fit that produced the model (empty for
-    hand-built models).
+    hand-built models). ``converged`` is False for a fit that stopped at
+    ``max_iter``, its history then holding ``max_iter + 1`` entries.
     """
 
     trans: np.ndarray
@@ -53,6 +54,7 @@ class HmmModel:
     variances: np.ndarray
     degenerate: bool = False
     loglik_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = True
 
     def __post_init__(self):
         trans = np.asarray(self.trans, dtype=np.float64)
@@ -105,6 +107,7 @@ class HmmModel:
             variances=self.variances[order],
             degenerate=self.degenerate,
             loglik_history=self.loglik_history,
+            converged=self.converged,
         )
 
 
@@ -240,7 +243,8 @@ def baum_welch_many(
         )
         for pos, k in enumerate(fit):
             model = HmmModel(trans[pos], init[pos], means[pos], variances[pos],
-                             degenerate=False, loglik_history=hists[pos])
+                             degenerate=False, loglik_history=hists[pos],
+                             converged=len(hists[pos]) <= max_iter)
             models[k] = model.canonicalize()
     return models
 

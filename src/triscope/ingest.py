@@ -120,7 +120,9 @@ class FeatureTensor:
 
     ``scale_mean``/``scale_sd`` are set by :func:`preprocess` (raw per-feature
     moments, so the transform is invertible; constant features record sd 0
-    and are only centered).
+    and are only centered). ``hmm_fits`` counts the HMM fits behind the
+    tensor and ``hmm_fits_at_max_iter`` those that stopped at ``max_iter``
+    (both set by :func:`build_feature_tensor`).
     """
 
     tensor: np.ndarray
@@ -129,6 +131,8 @@ class FeatureTensor:
     provenance: np.ndarray | None = None
     scale_mean: np.ndarray | None = None
     scale_sd: np.ndarray | None = None
+    hmm_fits: int = 0
+    hmm_fits_at_max_iter: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.tensor, dtype=np.float64)
@@ -291,6 +295,33 @@ def hour_summary_features(deltas, message_count: int) -> np.ndarray:
     return np.array([mean, var, entropy, count])
 
 
+def _summary_slabs(hourly: HourlyDeltas) -> np.ndarray:
+    """Features 6-9 of every user-hour at once, (users, 4, hours): what
+    :func:`hour_summary_features` gives cell by cell, with the sums taken
+    in time order per cell."""
+    n_users, n_hours = hourly.counts.shape
+    cells = n_users * n_hours
+    flat = [d for row in hourly.deltas for d in row]
+    sizes = np.array([d.size for d in flat], dtype=np.int64)
+    dt = np.concatenate(flat)
+    cell = np.repeat(np.arange(cells), sizes)
+    n = np.maximum(sizes, 1)
+    mean = np.bincount(cell, dt, cells) / n
+    dev = dt - mean[cell]
+    var = np.bincount(cell, dev * dev, cells) / n
+    # occupied (cell, bin) pairs only: a dense cells x bins table would
+    # outweigh the deltas themselves
+    bins = _ENTROPY_EDGES.size + 1
+    hit, occ = np.unique(cell * bins + np.searchsorted(_ENTROPY_EDGES, dt, side="right"),
+                         return_counts=True)
+    p = occ / n[hit // bins]
+    entropy = -np.bincount(hit // bins, p * np.log(p), cells)
+    out = np.empty((4, cells))
+    out[:3] = np.where(sizes >= 2, [mean, var, entropy], 0.0)
+    out[3] = hourly.counts.ravel()
+    return out.reshape(4, n_users, n_hours).transpose(1, 0, 2)
+
+
 def user_seed(base_seed: int, user_index: int) -> int:
     """Deterministic per-user HMM seed. Hour fits of a user share its seed:
     seeding per (user, hour) would make features depend on the absolute hour
@@ -326,13 +357,14 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
                 prov[u, h] = PROV_HOUR
             else:
                 sparse = True
-            x[u, 6:, h] = hour_summary_features(seq, int(hourly.counts[u, h]))
         if sparse:
             series = hourly.window_series(u)
             if series.size >= config.min_obs:
                 seqs.append(series)
                 seeds.append(seed)
                 cells.append((u, -1))
+
+    x[:, 6:] = _summary_slabs(hourly)
 
     # pass 2: fit them all in one batched call
     models = baum_welch_many(seqs, 2, seeds, config.tol, config.max_iter)
@@ -344,7 +376,10 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
             x[u, :6][:, fallback] = extract_features(model)[:, None]
             prov[u, fallback] = PROV_FALLBACK
 
-    return FeatureTensor(x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov)
+    return FeatureTensor(
+        x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov, hmm_fits=len(models),
+        hmm_fits_at_max_iter=sum(not m.converged for m in models),
+    )
 
 
 def preprocess(ft: FeatureTensor) -> FeatureTensor:

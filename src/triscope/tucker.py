@@ -10,7 +10,7 @@ column positive, so repeated runs give identical matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +95,12 @@ class AnovaReport:
 
 @dataclass(frozen=True)
 class ScreeResult:
-    """Fit over a (P, Q, R) grid plus the elbow-selected point."""
+    """Fit over a (P, Q, R) grid plus the elbow-selected point and the
+    model fitted there."""
 
     grid: tuple[tuple[int, int, int, float], ...]
     selected: tuple[int, int, int]
+    model: TuckerModel = field(compare=False, repr=False)
 
 
 def _check_params(x: np.ndarray, p: int, q: int, r: int) -> None:
@@ -359,6 +361,7 @@ def scree_select(
     svds = [np.linalg.svd(unfold(x, mode), full_matrices=False)[0] for mode in (1, 2, 3)]
 
     entries: list[tuple[int, int, int, float]] = []
+    models: dict[tuple[int, int, int], TuckerModel] = {}
     for p in levels[0]:
         for q in levels[1]:
             for r in levels[2]:
@@ -367,8 +370,10 @@ def scree_select(
                 except NumericalError as exc:
                     raise NumericalError(f"grid point ({p},{q},{r}): {exc}") from exc
                 entries.append((int(p), int(q), int(r), m.fit_percent))
+                models[entries[-1][:3]] = m
 
-    return ScreeResult(grid=tuple(entries), selected=_elbow_select(entries))
+    selected = _elbow_select(entries)
+    return ScreeResult(grid=tuple(entries), selected=selected, model=models[selected])
 
 
 # ---------------------------------------------------------------------------

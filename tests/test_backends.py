@@ -26,6 +26,24 @@ def random_case(rng, t=60):
     return obs, trans, init, means, variances
 
 
+def slow_case(rng, t):
+    """Overlapping emissions and sticky states: the filter remembers across
+    many steps, so a chunk's entering vector matters."""
+    regime = np.repeat(rng.integers(0, 2, t // 50 + 1), 50)[:t]
+    obs = rng.normal(np.where(regime == 1, 12.0, 10.0), 3.0)
+    trans = np.array([[0.999, 0.001], [0.001, 0.999]])
+    return obs, trans, np.array([0.5, 0.5]), np.array([9.0, 13.0]), np.array([9.0, 9.0])
+
+
+def absorbing_case(rng, t):
+    """Near-absorbing start (off-diagonal 1e-19) on alternating, well
+    separated observations: every likely path switches state at each step,
+    so unnormalized chunk products underflow."""
+    obs = np.where(np.arange(t) % 2 == 1, 200.0, 5.0) + rng.normal(0.0, 1.0, t)
+    trans = np.array([[1.0 - 1e-19, 1e-19], [1e-19, 1.0 - 1e-19]])
+    return obs, trans, np.array([0.5, 0.5]), np.array([5.0, 200.0]), np.array([1.0, 1.0])
+
+
 @needs_numba
 class TestKernelParity:
     def test_forward(self):
@@ -71,16 +89,24 @@ class TestKernelParity:
 class TestBatchedEngine:
     def test_matches_loop_reference(self):
         """The batched numpy engine on sequences of mixed lengths against the
-        scalar loop twin of the compiled kernel, run as plain Python."""
+        scalar loop twin of the compiled kernel, run as plain Python. The
+        lengths cover the plain recursion, the blocked scan up to T = 1000,
+        and one step either side of a chunk boundary; two starts are nearly
+        absorbing. No step, padding included, divides 0 by 0."""
         rng = np.random.default_rng(4)
+        size = backends._CHUNK
+        m = backends._PLAIN_STEPS // size + 1  # the fewest chunks of a blocked scan
         cases = [random_case(rng, t) for t in (8, 60, 25, 90)]
-        out = backends.baum_welch_batch_np(
-            [c[0] for c in cases],
-            *(np.array([c[k] for c in cases]) for k in range(1, 5)),
-            np.full(len(cases), 1e-9),
-            1e-6,
-            40,
-        )
+        cases += [slow_case(rng, t) for t in (1000, size * m - 1, size * m, size * m + 1)]
+        cases += [absorbing_case(rng, t) for t in (300, size * m + 1)]
+        with np.errstate(divide="raise", invalid="raise"):
+            out = backends.baum_welch_batch_np(
+                [c[0] for c in cases],
+                *(np.array([c[k] for c in cases]) for k in range(1, 5)),
+                np.full(len(cases), 1e-9),
+                1e-6,
+                40,
+            )
         for k, (obs, trans, init, means, var) in enumerate(cases):
             ref = backends._baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, 40)
             got = [p[k] for p in out]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,24 @@ class TestDeterminismAndReruns:
         before = (pipeline_dir / "events.csv").read_bytes()
         assert main(["events", "--out-dir", str(pipeline_dir)]) == EXIT_OK
         assert (pipeline_dir / "events.csv").read_bytes() == before
+
+
+class TestRunReport:
+    def test_ingest_reports_fits_at_max_iter(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["synth", *SYNTH_ARGS, "--out-dir", str(out)]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hmm_max_iter": 2}))
+        capsys.readouterr()
+        args = ["ingest", "--config", str(cfg), "--window-hours", "48", "--out-dir", str(out)]
+        assert main(args) == EXIT_OK
+        err = capsys.readouterr().err
+        found = re.findall(r"^ingest: (\d+) of (\d+) HMM fits reached max_iter=2$", err, re.M)
+        assert len(found) == 1
+        assert 0 < int(found[0][0]) <= int(found[0][1])
+        # the report goes to stderr only: out_dir holds what it held before
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["ground_truth.json", "log.csv", "tensor.txt", "tensor_meta.json"]
 
 
 class TestFailureModes:

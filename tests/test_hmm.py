@@ -9,6 +9,7 @@ import pytest
 from triscope import (
     HmmModel,
     InvalidInputError,
+    backends,
     baum_welch,
     baum_welch_many,
     extract_features,
@@ -210,7 +211,9 @@ class TestBaumWelch:
 
     def test_fit_independent_of_batch_companions(self):
         """A sequence fitted in one batch with longer and shorter companions
-        gets the parameters and history of its fit alone, bit for bit."""
+        gets the parameters and history of its fit alone, bit for bit. Both
+        targets span several chunks of the blocked scan, and so do their
+        batch-mates, each with its own chunk count."""
         rng = np.random.default_rng(10)
 
         def series(t, scale):
@@ -220,20 +223,35 @@ class TestBaumWelch:
             rng.shuffle(obs)
             return obs
 
-        target = series(150, 3.0)
-        seqs = [series(1000, 2.0), series(300, 5.0), target, series(140, 1.0),
-                series(120, 8.0), np.full(50, 4.0), series(40, 6.0), series(6, 1.0)]
-        seeds = [1, 2, 3, 4, 5, 6, 7, 8]
+        seqs = [series(1000, 2.0), series(300, 5.0), series(150, 3.0), series(140, 1.0),
+                series(120, 8.0), np.full(50, 4.0), series(40, 6.0), series(6, 1.0),
+                series(400, 2.0), series(260, 3.0), series(230, 4.0), series(201, 7.0),
+                series(backends._PLAIN_STEPS, 2.0), series(backends._PLAIN_STEPS + 10, 3.0)]
+        seeds = list(range(1, len(seqs) + 1))
         batch = baum_welch_many(seqs, seeds=seeds)
         # companions stop at different iterations, so sequences leave the batch
         assert len({len(m.loglik_history) for m in batch}) > 2
-        alone = baum_welch(target, seed=3)
-        for name in ("trans", "init", "means", "variances", "loglik_history"):
-            np.testing.assert_array_equal(getattr(batch[2], name), getattr(alone, name))
+        for k in (2, 10):
+            assert len(seqs[k]) > backends._PLAIN_STEPS
+            alone = baum_welch(seqs[k], seed=seeds[k])
+            for name in ("trans", "init", "means", "variances", "loglik_history"):
+                np.testing.assert_array_equal(getattr(batch[k], name), getattr(alone, name))
         for obs, seed, m in zip(seqs, seeds, batch):
             solo = baum_welch(obs, seed=seed)
             np.testing.assert_array_equal(m.loglik_history, solo.loglik_history)
             np.testing.assert_array_equal(m.means, solo.means)
+
+    def test_converged_flag_marks_fits_stopped_at_max_iter(self):
+        rng = np.random.default_rng(11)
+        obs = np.concatenate([rng.exponential(5.0, 60), rng.exponential(300.0, 60)])
+        rng.shuffle(obs)
+        cut = baum_welch(obs, seed=1, max_iter=2)
+        assert len(cut.loglik_history) == 3
+        assert not cut.converged
+        full = baum_welch(obs, seed=1)
+        assert len(full.loglik_history) <= 200
+        assert full.converged
+        assert baum_welch(np.full(20, 7.5)).converged
 
     def test_many_rejects_seed_count_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -11,10 +11,12 @@ from triscope import (
     HmmConfig,
     HourlyDeltas,
     InvalidInputError,
+    SynthConfig,
     baum_welch,
     build_feature_tensor,
     compute_deltas,
     extract_features,
+    generate,
     hour_summary_features,
     parse_log,
     preprocess,
@@ -175,6 +177,29 @@ class TestBuildFeatureTensor:
         np.testing.assert_array_equal(
             ft.tensor[:, count_idx, :].sum(axis=1), hd.counts.sum(axis=1).astype(float)
         )
+
+    def test_summary_block_matches_per_hour_function(self):
+        """Features 6-9, computed for all user-hours at once, against
+        :func:`hour_summary_features` cell by cell: counts exact, the rest
+        to 1e-12."""
+        log, _ = generate(SynthConfig(n_users=12, window_hours=24, base_rate=3.0,
+                                      burst_rate=40.0, persistent_anomalous=(4,), seed=2))
+        hd = compute_deltas(log)
+        ft = build_feature_tensor(hd)
+        expect = np.array([
+            [hour_summary_features(hd.deltas[u][h], int(hd.counts[u, h])) for h in range(24)]
+            for u in range(len(hd.user_ids))
+        ]).transpose(0, 2, 1)
+        assert (hd.counts >= 3).any() and (hd.counts < 2).any()
+        np.testing.assert_array_equal(ft.tensor[:, 9], expect[:, 3])
+        np.testing.assert_allclose(ft.tensor[:, 6:9], expect[:, :3], rtol=1e-12, atol=0)
+
+    def test_counts_fits_stopped_at_max_iter(self):
+        hd = dense_hourly(seed=3)
+        assert build_feature_tensor(hd).hmm_fits_at_max_iter == 0
+        ft = build_feature_tensor(hd, HmmConfig(max_iter=1))
+        assert ft.hmm_fits == 2  # the dense hour and the window fallback
+        assert ft.hmm_fits_at_max_iter == 2
 
     def test_deterministic(self):
         a = build_feature_tensor(dense_hourly(), HmmConfig(seed=5))

@@ -315,6 +315,20 @@ class TestScree:
         res = scree_select(x, 3, 3, 3)
         assert res.selected in {g[:3] for g in res.grid}
 
+    def test_model_is_the_selected_grid_fit(self):
+        """The model carried by the result is the grid's fit at the selected
+        point, and equals a fresh HOOI fit there bit for bit."""
+        rng = np.random.default_rng(20)
+        x = planted_tensor(rng, (12, 6, 9), (2, 1, 2), noise=0.05)
+        res = scree_select(x, 3, 3, 3)
+        m = res.model
+        assert (m.p, m.q, m.r) == res.selected
+        assert [g[3] for g in res.grid if g[:3] == res.selected] == [m.fit_percent]
+        refit = hooi(x, *res.selected)
+        assert np.array_equal(m.core, refit.core)
+        for f1, f2 in zip(m.factors(), refit.factors()):
+            assert np.array_equal(f1, f2)
+
 
 class TestModelSerialization:
     def test_roundtrip_bit_exact(self):
