@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the hot kernels: the numba HMM kernels against their pure-numpy
+fallbacks, and the numpy Ward kernel.
 
 Runs each hot kernel on representative inputs and reports median per-call
-time for both paths plus the speedup. The JIT twins are compiled (and
-cached) before timing starts.
+time for both paths plus the speedup (Ward has no compiled twin). The JIT
+twins are compiled (and cached) before timing starts.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
@@ -83,18 +84,9 @@ def cases(rng):
             getattr(backends, "baum_welch_batch_jit", None),
             batch_args(rng, lengths),
         )
-    yield (
-        "ward n=120 d=64",
-        backends.ward_linkage_np,
-        getattr(backends, "ward_linkage_jit", None),
-        (rng.normal(size=(120, 64)),),
-    )
-    yield (
-        "ward n=400 d=16",
-        backends.ward_linkage_np,
-        getattr(backends, "ward_linkage_jit", None),
-        (rng.normal(size=(400, 16)),),
-    )
+    # Ward has one numpy kernel; n=400 d=144 is the many-users trajectory shape
+    for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
+        yield (f"ward n={n} d={dim}", backends.ward_linkage, None, (rng.normal(size=(n, dim)),))
 
 
 def main():

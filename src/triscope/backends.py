@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot numeric kernels.
 
 The two runtime-dominant inner loops of the toolkit live here:
 
@@ -6,7 +6,7 @@ The two runtime-dominant inner loops of the toolkit live here:
   Baum-Welch fit, and
 * the Lance-Williams update loop of Ward agglomerative clustering.
 
-Each kernel exists twice with identical arithmetic: a ``*_np`` version
+The HMM kernels exist twice with identical arithmetic: a ``*_np`` version
 written against vectorized numpy, and a scalar-loop twin compiled with
 ``numba.njit``. The compiled twin is bound to the public name when numba
 imports successfully and the environment variable ``TRISCOPE_DISABLE_NUMBA``
@@ -18,6 +18,11 @@ Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
 fits many sequences in one call: the numpy version vectorizes each time step
 across the batch, and runs long sequences as a chunked two-level scan (see
 ``_chunk_starts``); the compiled version loops its single-sequence kernel.
+
+Ward has one implementation, :func:`ward_linkage`, in numpy: each node
+caches its nearest neighbour, so a merge costs O(n) plus the rows it
+invalidates instead of a scan of every pair. Its merges are pinned bit for
+bit against a full-scan reference in ``tests/test_clustering.py``.
 """
 
 from __future__ import annotations
@@ -414,7 +419,7 @@ def baum_welch_np(obs, trans, init, means, variances, var_floor, tol, max_iter):
     return out[0][0], out[1][0], out[2][0], out[3][0], out[4][0]
 
 
-def ward_linkage_np(points):
+def ward_linkage(points):
     """Ward agglomeration via Lance-Williams updates on squared distances.
 
     Leaves are nodes ``0..n-1``; the merge at step ``s`` creates node
@@ -423,36 +428,50 @@ def ward_linkage_np(points):
     ``height = sqrt(2 * increase in within-cluster SS)`` (so two singletons
     merge at their Euclidean distance). Ties on the merge criterion pick the
     lexicographically smallest ``(left, right)`` pair.
+
+    Each active node ``i`` caches ``nn[i]``, its nearest active node
+    ``j > i`` (the smallest such ``j`` on ties), and ``rmin[i]``, their
+    distance, so a merge takes the least ``rmin`` (the smallest row on
+    ties) instead of scanning every pair: the pair a row-major scan of the
+    whole triangle would pick. After a merge, a row adopts the new node,
+    which has the largest id, only when it is strictly closer than the
+    cached neighbour, and only the rows whose neighbour was merged are
+    recomputed. The cache holds copies of matrix entries, so heights and
+    updates are those of the full scan, bit for bit (Muellner 2011,
+    arXiv:1109.2378, the "generic" algorithm without its priority queue).
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     total = 2 * n - 1
-    d2 = np.full((total, total), np.inf)
     sq = (pts * pts).sum(axis=1)
     block = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.maximum(block, 0.0, out=block)
+    d2 = np.empty((total, total))  # only entries between active nodes are read
     d2[:n, :n] = block
-    np.fill_diagonal(d2, np.inf)
+    block[np.tri(n, dtype=bool)] = np.inf  # keep j > i
+    nn = np.zeros(total, dtype=np.int64)
+    nn[:n] = np.argmin(block, axis=1)
+    rmin = np.full(total, np.inf)
+    rmin[:n] = block[np.arange(n), nn[:n]]
+    del block
 
     active = np.zeros(total, dtype=bool)
     active[:n] = True
     sizes = np.zeros(total, dtype=np.int64)
     sizes[:n] = 1
     merges = np.empty((n - 1, 4))
-    iu, ju = np.triu_indices(total, 1)
     for step in range(n - 1):
-        flat = d2[iu, ju]
-        k = int(np.argmin(flat))  # row-major scan = lexicographic tie-break
-        bi = int(iu[k])
-        bj = int(ju[k])
-        best = flat[k]
+        bi = int(np.argmin(rmin))
+        bj = int(nn[bi])
+        best = rmin[bi]
         new = n + step
         si = sizes[bi]
         sj = sizes[bj]
         merges[step] = (bi, bj, math.sqrt(best), si + sj)
+        active[bi] = active[bj] = False
+        rmin[bi] = rmin[bj] = np.inf
 
         others = np.flatnonzero(active)
-        others = others[(others != bi) & (others != bj)]
         if others.size:
             su = sizes[others]
             upd = ((si + su) * d2[bi, others] + (sj + su) * d2[bj, others] - su * best) / (
@@ -460,12 +479,18 @@ def ward_linkage_np(points):
             )
             d2[new, others] = upd
             d2[others, new] = upd
-        d2[bi, :] = np.inf
-        d2[:, bi] = np.inf
-        d2[bj, :] = np.inf
-        d2[:, bj] = np.inf
-        active[bi] = False
-        active[bj] = False
+            stale = (nn[others] == bi) | (nn[others] == bj)
+            adopt = ~stale & (upd < rmin[others])
+            nn[others[adopt]] = new
+            rmin[others[adopt]] = upd[adopt]
+            rows = others[stale]
+            if rows.size:
+                cols = np.append(others, new)
+                sub = d2[np.ix_(rows, cols)]
+                sub[cols <= rows[:, None]] = np.inf
+                k = np.argmin(sub, axis=1)
+                nn[rows] = cols[k]
+                rmin[rows] = sub[np.arange(rows.size), k]
         active[new] = True
         sizes[new] = si + sj
     return merges
@@ -668,65 +693,10 @@ def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_ite
     return trans, init, means, variances, hist[:n_hist].copy()
 
 
-def _ward_linkage_loop(points):
-    n = points.shape[0]
-    dim = points.shape[1]
-    total = 2 * n - 1
-    d2 = np.full((total, total), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            for k in range(dim):
-                d = points[i, k] - points[j, k]
-                acc += d * d
-            d2[i, j] = acc
-            d2[j, i] = acc
-
-    active = np.zeros(total, dtype=np.bool_)
-    sizes = np.zeros(total, dtype=np.int64)
-    for i in range(n):
-        active[i] = True
-        sizes[i] = 1
-
-    merges = np.empty((n - 1, 4))
-    for step in range(n - 1):
-        best = np.inf
-        bi = -1
-        bj = -1
-        for i in range(total):
-            if active[i]:
-                for j in range(i + 1, total):
-                    if active[j] and d2[i, j] < best:
-                        best = d2[i, j]
-                        bi = i
-                        bj = j
-        new = n + step
-        si = sizes[bi]
-        sj = sizes[bj]
-        merges[step, 0] = bi
-        merges[step, 1] = bj
-        merges[step, 2] = math.sqrt(best)
-        merges[step, 3] = si + sj
-        for u in range(total):
-            if active[u] and u != bi and u != bj:
-                su = sizes[u]
-                v = ((si + su) * d2[bi, u] + (sj + su) * d2[bj, u] - su * best) / (
-                    si + sj + su
-                )
-                d2[new, u] = v
-                d2[u, new] = v
-        active[bi] = False
-        active[bj] = False
-        active[new] = True
-        sizes[new] = si + sj
-    return merges
-
-
 if HAVE_NUMBA:
     forward_loglik_jit = njit(cache=True)(_forward_loglik_loop)
     viterbi_jit = njit(cache=True)(_viterbi_loop)
     baum_welch_jit = njit(cache=True)(_baum_welch_loop)
-    ward_linkage_jit = njit(cache=True)(_ward_linkage_loop)
 
     def baum_welch_batch_jit(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         """:func:`baum_welch_batch_np`'s contract, one compiled fit per sequence."""
@@ -742,12 +712,10 @@ if NUMBA_ENABLED:
     forward_loglik = forward_loglik_jit
     viterbi_kernel = viterbi_jit
     baum_welch_batch = baum_welch_batch_jit
-    ward_linkage = ward_linkage_jit
 else:
     forward_loglik = forward_loglik_np
     viterbi_kernel = viterbi_np
     baum_welch_batch = baum_welch_batch_np
-    ward_linkage = ward_linkage_np
 
 
 def backend_name() -> str:
@@ -766,4 +734,3 @@ def warmup() -> None:
         viterbi_kernel(obs, np.log(trans), np.log(init), means, variances)
     baum_welch_batch([obs], trans[None], init[None], means[None], variances[None],
                      np.array([1e-12]), 1e-6, 3)
-    ward_linkage(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))

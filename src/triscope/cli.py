@@ -335,6 +335,11 @@ def stage_decompose(cfg: PipelineConfig):
         tol=cfg.tucker_tol,
         max_iter=cfg.tucker_max_iter,
     )
+    print(
+        f"decompose: {result.fits_at_max_iter} of {len(result.grid)} HOOI fits reached "
+        f"max_iter={cfg.tucker_max_iter}",
+        file=sys.stderr,
+    )
     with open(out / "scree.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("p,q,r,fit_percent,selected\n")
         for p, q, r, fit in result.grid:

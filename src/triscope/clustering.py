@@ -1,8 +1,11 @@
 """Ward clustering of trajectories and event detection on cluster centers.
 
 Trajectories are flattened to (hours * components)-vectors and merged
-agglomeratively under Ward's minimum-variance criterion (Lance-Williams
-updates; the from-scratch recompute lives only in the tests as an oracle).
+agglomeratively under Ward's minimum-variance criterion by one numpy kernel,
+``backends.ward_linkage`` (Lance-Williams updates with a nearest-neighbour
+cache per row). The tests hold two oracles: a from-scratch recompute of the
+objective, and the full-scan agglomeration the kernel must match bit for
+bit.
 Merge heights follow the convention where two singletons merge at their
 Euclidean distance, i.e. ``height = sqrt(2 * increase in within-cluster SS)``.
 
@@ -103,6 +106,8 @@ def _as_points(items) -> np.ndarray:
         pts = np.asarray(items, dtype=np.float64)
         if pts.ndim != 2:
             raise InvalidInputError(f"points must be 2-D, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("points must be finite")
         return np.ascontiguousarray(pts)
     rows = []
     shape = None

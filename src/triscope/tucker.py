@@ -44,13 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TuckerModel:
-    """Core tensor plus the three orthonormal factor matrices."""
+    """Core tensor plus the three orthonormal factor matrices.
+
+    ``converged`` is False for a HOOI fit that stopped after ``max_iter``
+    sweeps without meeting its tolerance (True for HOSVD and loaded models).
+    """
 
     core: np.ndarray
     factor_a: np.ndarray
     factor_b: np.ndarray
     factor_c: np.ndarray
     fit_percent: float
+    converged: bool = True
 
     @property
     def p(self) -> int:
@@ -95,12 +100,13 @@ class AnovaReport:
 
 @dataclass(frozen=True)
 class ScreeResult:
-    """Fit over a (P, Q, R) grid plus the elbow-selected point and the
-    model fitted there."""
+    """Fit over a (P, Q, R) grid plus the elbow-selected point, the model
+    fitted there, and how many grid fits stopped at ``max_iter``."""
 
     grid: tuple[tuple[int, int, int, float], ...]
     selected: tuple[int, int, int]
     model: TuckerModel = field(compare=False, repr=False)
+    fits_at_max_iter: int
 
 
 def _check_params(x: np.ndarray, p: int, q: int, r: int) -> None:
@@ -165,7 +171,8 @@ def hooi(
 
     Sweeps update one factor at a time from the SVD of the tensor contracted
     with the other two factors; iteration stops when the fit improves by less
-    than ``tol`` percentage points in a sweep, or after ``max_iter`` sweeps.
+    than ``tol`` percentage points in a sweep, or after ``max_iter`` sweeps
+    (then the model's ``converged`` is False).
     """
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
@@ -194,7 +201,7 @@ def hooi(
         fit_prev = fit
         if done:
             break
-    return TuckerModel(core, a, b, c, float(fit_prev))
+    return TuckerModel(core, a, b, c, float(fit_prev), converged=done)
 
 
 def fit_percent(x: np.ndarray, model: TuckerModel) -> float:
@@ -373,7 +380,12 @@ def scree_select(
                 models[entries[-1][:3]] = m
 
     selected = _elbow_select(entries)
-    return ScreeResult(grid=tuple(entries), selected=selected, model=models[selected])
+    return ScreeResult(
+        grid=tuple(entries),
+        selected=selected,
+        model=models[selected],
+        fits_at_max_iter=sum(not m.converged for m in models.values()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parity between the numba kernels and their numpy fallbacks, the batched
+"""Parity between the numba HMM kernels and their numpy fallbacks, the batched
 Baum-Welch engine against the scalar loop reference, plus the environment
 switch."""
 
@@ -73,17 +73,6 @@ class TestKernelParity:
             assert len(out_np[4]) == len(out_jit[4])
             for a, b in zip(out_np, out_jit):
                 np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
-
-    def test_ward(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            pts = rng.normal(size=(int(rng.integers(2, 25)), int(rng.integers(1, 8))))
-            a = backends.ward_linkage_np(pts)
-            b = backends.ward_linkage_jit(pts)
-            assert np.array_equal(a[:, 0], b[:, 0])
-            assert np.array_equal(a[:, 1], b[:, 1])
-            np.testing.assert_allclose(a[:, 2], b[:, 2], rtol=1e-9)
-            assert np.array_equal(a[:, 3], b[:, 3])
 
 
 class TestBatchedEngine:

@@ -159,6 +159,30 @@ class TestRunReport:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["ground_truth.json", "log.csv", "tensor.txt", "tensor_meta.json"]
 
+    def test_decompose_reports_fits_at_max_iter(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["synth", *SYNTH_ARGS, "--out-dir", str(out)]) == EXIT_OK
+        assert main(["ingest", "--window-hours", "48", "--out-dir", str(out)]) == EXIT_OK
+        args = ["decompose", "--max-p", "3", "--max-q", "3", "--max-r", "3", "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        err = capsys.readouterr().err
+        found = re.findall(r"^decompose: (\d+) of 27 HOOI fits reached max_iter=50$", err, re.M)
+        assert len(found) == 1
+        at_default = int(found[0])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tucker_max_iter": 1}))
+        assert main([*args, "--config", str(cfg)]) == EXIT_OK
+        err = capsys.readouterr().err
+        found = re.findall(r"^decompose: (\d+) of 27 HOOI fits reached max_iter=1$", err, re.M)
+        assert len(found) == 1
+        # a fit that needs more than 50 sweeps needs more than one
+        assert at_default < int(found[0]) <= 27
+        # the report goes to stderr only: out_dir holds the same files
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
 
 class TestFailureModes:
     def test_empty_log_fails_at_ingest(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Ward clustering against a from-scratch SS oracle; cuts, centers, events."""
+"""Ward clustering against a from-scratch SS oracle and a full-scan
+agglomeration; cuts, centers, events."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from triscope import (
     InvalidInputError,
+    backends,
     Trajectory,
     center_trajectory,
     cut,
@@ -54,6 +56,59 @@ def brute_force_ward(points):
     return merges
 
 
+def full_scan_ward(points):
+    """Ward agglomeration that scans every pair of active nodes at each merge.
+
+    The same Lance-Williams arithmetic as ``backends.ward_linkage``, which
+    caches each row's nearest neighbour instead: a row-major scan of the
+    upper triangle of the (2n-1)^2 distance matrix picks the least distance
+    and, on ties, the lexicographically smallest (left, right) pair. The
+    kernel must reproduce these merges bit for bit.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    total = 2 * n - 1
+    d2 = np.full((total, total), np.inf)
+    sq = (pts * pts).sum(axis=1)
+    block = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    np.maximum(block, 0.0, out=block)
+    d2[:n, :n] = block
+    np.fill_diagonal(d2, np.inf)
+
+    active = np.zeros(total, dtype=bool)
+    active[:n] = True
+    sizes = np.zeros(total, dtype=np.int64)
+    sizes[:n] = 1
+    merges = np.empty((n - 1, 4))
+    iu, ju = np.triu_indices(total, 1)
+    for step in range(n - 1):
+        flat = d2[iu, ju]
+        k = int(np.argmin(flat))
+        bi = int(iu[k])
+        bj = int(ju[k])
+        best = flat[k]
+        new = n + step
+        si = sizes[bi]
+        sj = sizes[bj]
+        merges[step] = (bi, bj, math.sqrt(best), si + sj)
+
+        others = np.flatnonzero(active)
+        others = others[(others != bi) & (others != bj)]
+        if others.size:
+            su = sizes[others]
+            upd = ((si + su) * d2[bi, others] + (sj + su) * d2[bj, others] - su * best) / (
+                si + sj + su
+            )
+            d2[new, others] = upd
+            d2[others, new] = upd
+        d2[[bi, bj], :] = np.inf
+        d2[:, [bi, bj]] = np.inf
+        active[[bi, bj]] = False
+        active[new] = True
+        sizes[new] = si + sj
+    return merges
+
+
 class TestWardCluster:
     def test_two_points_merge_at_distance(self):
         d = ward_cluster(np.array([[0.0, 0.0], [3.0, 4.0]]))
@@ -98,6 +153,61 @@ class TestWardCluster:
     def test_single_item_rejected(self):
         with pytest.raises(InvalidInputError):
             ward_cluster(np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0], [5.0, 5.0]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            ward_cluster(pts)
+
+
+def assert_same_merges(pts):
+    got = backends.ward_linkage(pts)
+    expected = full_scan_ward(pts)
+    assert np.array_equal(got, expected)
+    return got
+
+
+class TestNearestNeighbourCache:
+    """``backends.ward_linkage`` against the full scan, bit for bit."""
+
+    def test_two_and_three_points(self):
+        assert_same_merges(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert_same_merges(np.array([[0.0], [1.0], [10.0]]))
+        assert_same_merges(np.array([[0.0], [10.0], [1.0]]))
+
+    def test_random_points(self):
+        rng = np.random.default_rng(11)
+        for n in (4, 9, 17, 40, 75, 130):
+            assert_same_merges(rng.normal(size=(n, int(rng.integers(1, 9)))))
+        assert_same_merges(rng.normal(size=(300, 12)))
+
+    def test_integer_grid_ties(self):
+        """Every distance on a small grid occurs many times over, so each
+        merge is decided by the tie-break."""
+        g = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+        merges = assert_same_merges(g)
+        assert merges[0, :3].tolist() == [0.0, 1.0, 1.0]
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            assert_same_merges(rng.integers(-2, 3, size=(int(rng.integers(2, 40)), 2)).astype(float))
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(13)
+        base = rng.normal(size=(12, 3))
+        pts = base[rng.integers(0, 12, size=50)]
+        merges = assert_same_merges(pts)
+        assert np.count_nonzero(merges[:, 2] == 0.0) == 50 - np.unique(pts, axis=0).shape[0]
+
+    def test_star_invalidates_most_caches(self):
+        """Unit vectors around a hub with the largest id: every row's nearest
+        neighbour is the hub, and then the cluster holding it, so each
+        merge recomputes nearly every row."""
+        n = 60
+        pts = np.vstack([np.eye(n - 1), np.zeros((1, n - 1))])
+        merges = assert_same_merges(pts)
+        assert merges[0, :2].tolist() == [0.0, n - 1.0]
+        assert merges[1:, 1].tolist() == list(range(n, 2 * n - 2))
 
 
 def blob_points(rng):

@@ -120,6 +120,13 @@ class TestHooi:
         rel = np.linalg.norm((x - m.reconstruct()).ravel()) / np.linalg.norm(x.ravel())
         assert rel < 1e-8
 
+    def test_converged_flag_marks_fits_stopped_at_max_iter(self):
+        rng = np.random.default_rng(9)
+        x = tensor3(rng.normal(size=(6, 5, 4)))
+        assert not hooi(x, 3, 3, 2, tol=1e-10, max_iter=1).converged
+        assert hooi(x, 3, 3, 2, tol=1e-10, max_iter=500).converged
+        assert hosvd(x, 3, 3, 2).converged
+
     def test_core_slices_all_orthogonal(self):
         """At convergence each factor is the SVD basis of its own contracted
         unfolding, so the core's mode-n slices are mutually orthogonal."""
@@ -314,6 +321,13 @@ class TestScree:
         x = tensor3(rng.normal(size=(5, 4, 3)))
         res = scree_select(x, 3, 3, 3)
         assert res.selected in {g[:3] for g in res.grid}
+
+    def test_counts_fits_stopped_at_max_iter(self):
+        rng = np.random.default_rng(21)
+        x = tensor3(rng.normal(size=(6, 5, 4)))
+        cut = scree_select(x, 3, 3, 2, tol=1e-10, max_iter=1)
+        assert 0 < cut.fits_at_max_iter <= len(cut.grid)
+        assert scree_select(x, 3, 3, 2, tol=1e-10, max_iter=500).fits_at_max_iter == 0
 
     def test_model_is_the_selected_grid_fit(self):
         """The model carried by the result is the grid's fit at the selected
