@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels: the numba HMM kernels against their pure-numpy
-fallbacks, and the numpy Ward kernel.
+fallbacks, the numpy Ward kernel and the tensor text writer.
 
 Runs each hot kernel on representative inputs and reports median per-call
-time for both paths plus the speedup (Ward has no compiled twin). The JIT
+time for both paths plus the speedup (Ward and the writer have no compiled
+twin; the writer writes to the null device). The JIT
 twins are compiled (and cached) before timing starts.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
 
 import argparse
+import os
 import time
 
 import numpy as np
 
-from triscope import backends
+from triscope import backends, write_tensor_text
 
 
 def median_time(fn, args, repeats, min_loops=1):
@@ -87,6 +89,11 @@ def cases(rng):
     # Ward has one numpy kernel; n=400 d=144 is the many-users trajectory shape
     for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
         yield (f"ward n={n} d={dim}", backends.ward_linkage, None, (rng.normal(size=(n, dim)),))
+    # the preprocessed tensors of the many-users workload and of the month
+    sink = open(os.devnull, "w", encoding="utf-8")
+    for dims in ((400, 10, 48), (100, 10, 720)):
+        name = "tensor write " + "x".join(str(d) for d in dims)
+        yield (name, write_tensor_text, None, (rng.normal(size=dims), sink))
 
 
 def main():

@@ -46,7 +46,6 @@ from .tensor import (
     frobenius_norm,
     matrix,
     mode_multiply,
-    read_matrix_text,
     read_tensor_text,
     reconstruct,
     tensor3,
@@ -115,7 +114,6 @@ __all__ = [
     "parse_log",
     "preprocess",
     "ranking_correlation",
-    "read_matrix_text",
     "read_tensor_text",
     "reconstruct",
     "save_model",

@@ -3,8 +3,10 @@ cluster -> events, plus the synthetic-log generator.
 
 Every stage persists its result as text (CSV / JSON / the tensor and model
 formats), so stages compose across processes and any stage can be re-run
-from the previous stage's files. All outputs are byte-deterministic for a
-fixed config and seed.
+from the previous stage's files. ``pipeline`` hands each stage's arrays to
+the next in memory and writes every file once; only the single-stage
+commands read intermediates back, through the same stage functions. All
+outputs are byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 ok, 2 config/usage, 3 ingest, 4 decomposition (incl. rank and
 trajectories, which consume the model), 5 clustering/events, 6 I/O (missing
@@ -40,7 +42,7 @@ from .tensor import read_tensor_text, write_tensor_text
 from .trajectory import Trajectory, build_trajectories
 # ``hooi`` is not called here; pipebench/tracer.py wraps ``cli.hooi``, so the
 # name stays importable from this module
-from .tucker import anova_interaction, hooi, load_model, save_model, scree_select  # noqa: F401
+from .tucker import TuckerModel, anova_interaction, hooi, load_model, save_model, scree_select  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -229,7 +231,23 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_meta(out_dir: Path, stage: str) -> dict:
-    return json.loads(_need(out_dir / "tensor_meta.json", stage).read_text(encoding="utf-8"))
+    path = _need(out_dir / "tensor_meta.json", stage)
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path} line {exc.lineno}: not valid JSON: {exc.msg}") from exc
+    if not isinstance(meta, dict) or not {"user_ids", "feature_names"} <= meta.keys():
+        raise InvalidInputError(f"{path} must hold an object with user_ids and feature_names")
+    return meta
+
+
+def _write_trajectories(path: Path, id_column: str, trajectories: list[Trajectory]) -> None:
+    q = trajectories[0].n_components
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"{id_column},t," + ",".join(f"c{i + 1}" for i in range(q)) + "\n")
+        for trj in trajectories:
+            for t in range(trj.n_hours):
+                f.write(f"{trj.user_id},{t}," + ",".join(_fr(v) for v in trj.coords[t]) + "\n")
 
 
 def _load_trajectories(path: Path) -> list[Trajectory]:
@@ -239,18 +257,44 @@ def _load_trajectories(path: Path) -> list[Trajectory]:
         raise InvalidInputError(f"{path} is not a trajectories CSV")
     order: list[str] = []
     rows: dict[str, list[tuple[int, list[float]]]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        uid, t = parts[0], int(parts[1])
+        if len(parts) != len(header):
+            raise InvalidInputError(f"{path} line {lineno}: expected {len(header)} fields, got {len(parts)}")
+        uid = parts[0]
+        try:
+            row = (int(parts[1]), [float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} line {lineno}: {exc}") from exc
         if uid not in rows:
             rows[uid] = []
             order.append(uid)
-        rows[uid].append((t, [float(v) for v in parts[2:]]))
+        rows[uid].append(row)
     out = []
     for uid in order:
         pts = sorted(rows[uid])
         out.append(Trajectory(uid, np.array([c for _, c in pts])))
     return out
+
+
+def _load_inputs(stage: str, out: Path) -> tuple:
+    """Read a stage's inputs back from the files earlier stages left in
+    ``out``; ``pipeline`` hands them over in memory instead."""
+    if stage == "decompose":
+        return (read_tensor_text(_need(out / "tensor.txt", stage)),)
+    if stage == "rank":
+        model = load_model(_need(out / "model.txt", stage))
+        return model, _read_meta(out, stage)["user_ids"]
+    if stage == "trajectories":
+        x = read_tensor_text(_need(out / "tensor.txt", stage))
+        model = load_model(_need(out / "model.txt", stage))
+        meta = _read_meta(out, stage)
+        return FeatureTensor(x, tuple(meta["user_ids"]), tuple(meta["feature_names"])), model
+    if stage == "cluster":
+        return (_load_trajectories(_need(out / "trajectories.csv", stage)),)
+    if stage == "events":
+        return (_load_trajectories(_need(out / "centers.csv", stage)),)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +362,8 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
     return ft
 
 
-def stage_decompose(cfg: PipelineConfig):
+def stage_decompose(cfg: PipelineConfig, x: np.ndarray) -> TuckerModel:
     out = _out(cfg)
-    x = read_tensor_text(_need(out / "tensor.txt", "decompose"))
     i, j, k = x.shape
 
     report = anova_interaction(x)
@@ -350,11 +393,9 @@ def stage_decompose(cfg: PipelineConfig):
     return result.model
 
 
-def stage_rank(cfg: PipelineConfig):
+def stage_rank(cfg: PipelineConfig, model: TuckerModel, user_ids):
     out = _out(cfg)
-    model = load_model(_need(out / "model.txt", "rank"))
-    meta = _read_meta(out, "rank")
-    ranking = user_scores(model, meta["user_ids"], cfg.n_components)
+    ranking = user_scores(model, user_ids, cfg.n_components)
     with open(out / "ranking.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("rank,user_id,distance,score\n")
         for pos, (uid, dist, score) in enumerate(
@@ -364,26 +405,15 @@ def stage_rank(cfg: PipelineConfig):
     return ranking
 
 
-def stage_trajectories(cfg: PipelineConfig):
+def stage_trajectories(cfg: PipelineConfig, ft: FeatureTensor, model: TuckerModel) -> list[Trajectory]:
     out = _out(cfg)
-    x = read_tensor_text(_need(out / "tensor.txt", "trajectories"))
-    model = load_model(_need(out / "model.txt", "trajectories"))
-    meta = _read_meta(out, "trajectories")
-    ft = FeatureTensor(x, tuple(meta["user_ids"]), tuple(meta["feature_names"]))
     trajectories = build_trajectories(ft, model)
-    q = model.q
-    with open(out / "trajectories.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("user_id,t," + ",".join(f"c{i + 1}" for i in range(q)) + "\n")
-        for trj in trajectories:
-            for t in range(trj.n_hours):
-                coords = ",".join(_fr(v) for v in trj.coords[t])
-                f.write(f"{trj.user_id},{t},{coords}\n")
+    _write_trajectories(out / "trajectories.csv", "user_id", trajectories)
     return trajectories
 
 
-def stage_cluster(cfg: PipelineConfig):
+def stage_cluster(cfg: PipelineConfig, trajectories: list[Trajectory]) -> list[Trajectory]:
     out = _out(cfg)
-    trajectories = _load_trajectories(_need(out / "trajectories.csv", "cluster"))
     dendrogram = ward_cluster(trajectories)
     labels = cut(dendrogram, cfg.cutoff)
     with open(out / "clusters.csv", "w", encoding="utf-8", newline="\n") as f:
@@ -391,23 +421,16 @@ def stage_cluster(cfg: PipelineConfig):
         for trj, lab in zip(trajectories, labels):
             f.write(f"{trj.user_id},{int(lab)}\n")
 
-    q = trajectories[0].n_components
     centers = []
     for lab in range(int(labels.max()) + 1):
         members = [t for t, l in zip(trajectories, labels) if l == lab]
         centers.append(center_trajectory(members, label=str(lab)))
-    with open(out / "centers.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("cluster,t," + ",".join(f"c{i + 1}" for i in range(q)) + "\n")
-        for ctr in centers:
-            for t in range(ctr.n_hours):
-                coords = ",".join(_fr(v) for v in ctr.coords[t])
-                f.write(f"{ctr.user_id},{t},{coords}\n")
+    _write_trajectories(out / "centers.csv", "cluster", centers)
     return centers
 
 
-def stage_events(cfg: PipelineConfig):
+def stage_events(cfg: PipelineConfig, centers: list[Trajectory]):
     out = _out(cfg)
-    centers = _load_trajectories(_need(out / "centers.csv", "events"))
     windows = []
     for ctr in centers:
         scan = detect_events(ctr, k_mad=cfg.k_mad, min_duration=cfg.min_duration, gap_hours=cfg.gap_hours)
@@ -480,7 +503,7 @@ def cmd_single_stage(args) -> int:
         "cluster": stage_cluster,
         "events": stage_events,
     }[stage]
-    _run_stage(stage, fn, cfg)
+    _run_stage(stage, lambda: fn(cfg, *_load_inputs(stage, Path(cfg.out_dir))))
     print(f"{stage}: ok ({cfg.out_dir})")
     return EXIT_OK
 
@@ -490,12 +513,12 @@ def cmd_pipeline(args) -> int:
     if cfg.log is None and synth_section is not None:
         synth_cfg = build_synth_config(args, synth_section)
         _run_stage("synth", stage_synth, cfg, synth_cfg)
-    _run_stage("ingest", stage_ingest, cfg)
-    _run_stage("decompose", stage_decompose, cfg)
-    _run_stage("rank", stage_rank, cfg)
-    _run_stage("trajectories", stage_trajectories, cfg)
-    _run_stage("cluster", stage_cluster, cfg)
-    _run_stage("events", stage_events, cfg)
+    ft = _run_stage("ingest", stage_ingest, cfg)
+    model = _run_stage("decompose", stage_decompose, cfg, ft.tensor)
+    _run_stage("rank", stage_rank, cfg, model, ft.user_ids)
+    trajectories = _run_stage("trajectories", stage_trajectories, cfg, ft, model)
+    centers = _run_stage("cluster", stage_cluster, cfg, trajectories)
+    _run_stage("events", stage_events, cfg, centers)
     _write_manifest(cfg, "pipeline", _out(cfg))
     print(f"pipeline: ok ({cfg.out_dir})")
     return EXIT_OK

@@ -35,7 +35,6 @@ __all__ = [
     "write_tensor_text",
     "read_tensor_text",
     "write_matrix_text",
-    "read_matrix_text",
 ]
 
 
@@ -161,8 +160,15 @@ def reconstruct(core: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_BLOCK = 1 << 14  # values formatted per write; bounds the text held at once
+
+
+def _write_values(f, values: np.ndarray) -> None:
+    """One value per line in C order, 17 significant digits."""
+    flat = values.ravel()
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK].tolist()
+        f.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def _open_for(target, mode: str):
@@ -177,8 +183,7 @@ def write_tensor_text(t: np.ndarray, target) -> None:
     f, owned = _open_for(target, "w")
     try:
         f.write(f"{t.shape[0]} {t.shape[1]} {t.shape[2]}\n")
-        for v in t.ravel():
-            f.write(_fmt(v) + "\n")
+        _write_values(f, t)
     finally:
         if owned:
             f.close()
@@ -209,29 +214,7 @@ def write_matrix_text(m: np.ndarray, target) -> None:
     f, owned = _open_for(target, "w")
     try:
         f.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for v in m.ravel():
-            f.write(_fmt(v) + "\n")
+        _write_values(f, m)
     finally:
         if owned:
             f.close()
-
-
-def read_matrix_text(source) -> np.ndarray:
-    f, owned = _open_for(source, "r")
-    try:
-        tokens = f.read().split()
-    finally:
-        if owned:
-            f.close()
-    if len(tokens) < 2:
-        raise InvalidInputError("matrix text must start with two extents")
-    try:
-        shape = (int(tokens[0]), int(tokens[1]))
-        values = np.array([float(x) for x in tokens[2:]], dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed matrix text: {exc}") from exc
-    if values.size != shape[0] * shape[1]:
-        raise InvalidInputError(
-            f"expected {shape[0] * shape[1]} values for shape {shape}, got {values.size}"
-        )
-    return matrix(values, shape)

@@ -11,16 +11,15 @@ column positive, so repeated runs give identical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 from .tensor import (
+    _open_for,
     frobenius_norm,
+    matrix,
     mode_multiply,
-    read_matrix_text,
-    read_tensor_text,
     reconstruct,
     tensor3,
     unfold,
@@ -397,8 +396,7 @@ _MODEL_HEADER = "triscope tucker model v1"
 
 def save_model(model: TuckerModel, target) -> None:
     """Text serialization: dims, fit, then core/factor blocks (17 sig digits)."""
-    own = isinstance(target, (str, Path))
-    f = open(target, "w", encoding="utf-8", newline="\n") if own else target
+    f, own = _open_for(target, "w")
     try:
         f.write(_MODEL_HEADER + "\n")
         f.write(f"{model.p} {model.q} {model.r}\n")
@@ -414,8 +412,7 @@ def save_model(model: TuckerModel, target) -> None:
 
 
 def load_model(source) -> TuckerModel:
-    own = isinstance(source, (str, Path))
-    f = open(source, "r", encoding="utf-8") if own else source
+    f, own = _open_for(source, "r")
     try:
         lines = f.read().splitlines()
     finally:
@@ -424,38 +421,30 @@ def load_model(source) -> TuckerModel:
     if not lines or lines[0] != _MODEL_HEADER:
         raise InvalidInputError("not a triscope tucker model file")
 
-    def _block(start: int, label: str) -> tuple[list[str], int]:
-        if lines[start] != label:
-            raise InvalidInputError(f"expected block {label!r} at line {start + 1}")
-        return lines, start + 1
+    def _values(pos: int, label: str, ndim: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+        """The block ``label`` at line ``pos + 1``: its extents line, then
+        one value per line; returns the values, extents and next line."""
+        if lines[pos] != label:
+            raise InvalidInputError(f"expected block {label!r} at line {pos + 1}")
+        dims = tuple(int(v) for v in lines[pos + 1].split())
+        n = int(np.prod(dims)) if len(dims) == ndim else -1
+        block = lines[pos + 2 : pos + 2 + n]
+        if n < 1 or len(block) != n:
+            raise InvalidInputError(f"block {label!r} at line {pos + 1} is malformed or truncated")
+        return np.array([float(v) for v in block]), dims, pos + 2 + n
 
     try:
         p, q, r = (int(v) for v in lines[1].split())
         fit = float(lines[2].split()[1])
-        _, pos = _block(3, "core")
-        n_core = p * q * r
-        core = read_tensor_text(_StringBlock(lines[pos : pos + 1 + n_core]))
-        pos += 1 + n_core
+        values, dims, pos = _values(3, "core", 3)
+        core = tensor3(values, dims)  # type: ignore[arg-type]
         facs = []
         for label in ("factor_a", "factor_b", "factor_c"):
-            _, pos = _block(pos, label)
-            rows, cols = (int(v) for v in lines[pos].split())
-            fac = read_matrix_text(_StringBlock(lines[pos : pos + 1 + rows * cols]))
-            facs.append(fac)
-            pos += 1 + rows * cols
+            values, shape, pos = _values(pos, label, 2)
+            facs.append(matrix(values, shape))  # type: ignore[arg-type]
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"malformed model file: {exc}") from exc
     model = TuckerModel(core, facs[0], facs[1], facs[2], fit)
     if model.factor_a.shape[1] != p or model.factor_b.shape[1] != q or model.factor_c.shape[1] != r:
         raise InvalidInputError("model dims disagree with factor shapes")
     return model
-
-
-class _StringBlock:
-    """Minimal read()-able wrapper over a list of lines."""
-
-    def __init__(self, lines: list[str]):
-        self._text = "\n".join(lines)
-
-    def read(self) -> str:
-        return self._text

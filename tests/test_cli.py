@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 from triscope import hooi, load_model, read_tensor_text, save_model, scree_select
+from triscope import cli
 from triscope.cli import (
+    EXIT_CLUSTERING,
     EXIT_CONFIG,
+    EXIT_DECOMPOSITION,
     EXIT_INGEST,
     EXIT_IO,
     EXIT_OK,
@@ -142,6 +145,36 @@ class TestDeterminismAndReruns:
         assert (pipeline_dir / "events.csv").read_bytes() == before
 
 
+class TestStagesMatchPipeline:
+    STAGES = ["ingest", "decompose", "rank", "trajectories", "cluster", "events"]
+
+    def test_single_stages_reproduce_pipeline(self, pipeline_dir, tmp_path):
+        """Each stage run as its own command, reading the files the one
+        before it wrote, leaves what ``pipeline`` leaves (``pipeline`` alone
+        writes manifest.json)."""
+        out = tmp_path / "stages"
+        assert main(["synth", *SYNTH_ARGS, "--out-dir", str(out)]) == EXIT_OK
+        for stage in self.STAGES:
+            assert main([stage, *PIPE_ARGS, "--out-dir", str(out)]) == EXIT_OK, stage
+        expected = snapshot(pipeline_dir)
+        del expected["manifest.json"]
+        assert snapshot(out) == expected
+
+    def test_pipeline_reads_back_nothing(self, pipeline_dir, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pipeline read back an intermediate")
+
+        for name in ("read_tensor_text", "load_model", "_read_meta", "_load_trajectories"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "pipe"
+        assert main(["synth", *SYNTH_ARGS, "--out-dir", str(out)]) == EXIT_OK
+        args = ["pipeline", "--log", str(out / "log.csv"), *PIPE_ARGS, "--out-dir", str(out)]
+        assert main(args) == EXIT_OK
+        got, expected = snapshot(out), snapshot(pipeline_dir)
+        del got["manifest.json"], expected["manifest.json"]
+        assert got == expected
+
+
 class TestRunReport:
     def test_ingest_reports_fits_at_max_iter(self, tmp_path, capsys):
         out = tmp_path / "report"
@@ -220,6 +253,23 @@ class TestFailureModes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"no_such_key": 1}')
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("row", ["u0000,0,abc", "u0000,x,1.0"])
+    def test_malformed_trajectories_fail_at_cluster(self, tmp_path, capsys, row):
+        (tmp_path / "trajectories.csv").write_text(f"user_id,t,c1\nu0000,1,0.5\n{row}\n")
+        assert main(["cluster", "--out-dir", str(tmp_path)]) == EXIT_CLUSTERING
+        assert "trajectories.csv line 3" in capsys.readouterr().err
+
+    def test_malformed_centers_fail_at_events(self, tmp_path, capsys):
+        (tmp_path / "centers.csv").write_text("cluster,t,c1\n0,0,nope\n")
+        assert main(["events", "--out-dir", str(tmp_path)]) == EXIT_CLUSTERING
+        assert "centers.csv line 2" in capsys.readouterr().err
+
+    def test_malformed_meta_fails_at_rank(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "model.txt").write_bytes((pipeline_dir / "model.txt").read_bytes())
+        (tmp_path / "tensor_meta.json").write_text('{"user_ids": [\n')
+        assert main(["rank", "--out-dir", str(tmp_path)]) == EXIT_DECOMPOSITION
+        assert "tensor_meta.json line 2" in capsys.readouterr().err
 
     def test_bad_cutoff(self, tmp_path):
         log = tmp_path / "log.csv"

@@ -16,6 +16,7 @@ from triscope import (
     unfold,
     write_tensor_text,
 )
+from triscope.tensor import _BLOCK, write_matrix_text
 
 
 def column_index(mode, i, j, k, dims):
@@ -222,3 +223,30 @@ class TestSerialization:
     def test_wrong_value_count(self):
         with pytest.raises(InvalidInputError):
             read_tensor_text(io.StringIO("1 1 2\n0.5\n"))
+
+    def test_block_writer_bytes_equal_per_value_format(self):
+        """The block writer emits the bytes of one ``format(v, ".17g")`` per
+        line, across block boundaries and for signed zero, the smallest
+        subnormal, the largest double and a non-terminating fraction."""
+        special = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(3, 7, 1000)) * 10.0 ** rng.integers(-300, 300, size=(3, 7, 1000))
+        assert values.size > _BLOCK
+        flat = values.reshape(-1)
+        for at in (0, _BLOCK - 2, _BLOCK, values.size - 4):
+            flat[at : at + 4] = special
+        t = tensor3(values)
+
+        def per_value(header, arr):
+            return header + "".join(format(float(v), ".17g") + "\n" for v in arr.ravel())
+
+        buf = io.StringIO()
+        write_tensor_text(t, buf)
+        assert buf.getvalue() == per_value("3 7 1000\n", t)
+        assert np.array_equal(read_tensor_text(io.StringIO(buf.getvalue())), t)
+        assert "\n-0\n4.9406564584124654e-324\n1.7976931348623157e+308\n0.33333333333333331\n" in buf.getvalue()
+
+        m = t.reshape(21, 1000)
+        buf = io.StringIO()
+        write_matrix_text(m, buf)
+        assert buf.getvalue() == per_value("21 1000\n", m)

@@ -360,3 +360,25 @@ class TestModelSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(InvalidInputError):
             load_model(io.StringIO("not a model\n"))
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated_core", "truncated_factor_a", "non_numeric", "missing_factor_c"],
+    )
+    def test_rejects_damaged_blocks(self, damage):
+        rng = np.random.default_rng(21)
+        buf = io.StringIO()
+        save_model(hooi(tensor3(rng.normal(size=(4, 3, 5))), 2, 2, 3), buf)
+        lines = buf.getvalue().splitlines()
+        a = lines.index("factor_a")
+        c = lines.index("factor_c")
+        if damage == "truncated_core":
+            lines = lines[: lines.index("core") + 4]
+        elif damage == "truncated_factor_a":
+            lines = lines[: a + 3]
+        elif damage == "non_numeric":
+            lines[a + 3] = "0.5x"
+        else:
+            lines = lines[:c]
+        with pytest.raises(InvalidInputError):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
