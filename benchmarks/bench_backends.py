@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels: the numba HMM kernels against their pure-numpy
-fallbacks, the numpy Ward kernel and the tensor text writer.
+"""Benchmark the hot kernels: the HMM forward, Viterbi and batched
+Baum-Welch kernels, the Ward kernel and the tensor text writer.
 
-Runs each hot kernel on representative inputs and reports median per-call
-time for both paths plus the speedup (Ward and the writer have no compiled
-twin; the writer writes to the null device). The JIT
-twins are compiled (and cached) before timing starts.
+Runs each kernel on representative inputs and reports its median per-call
+time (the writer writes to the null device).
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
@@ -60,16 +58,10 @@ def cases(rng):
     with np.errstate(divide="ignore"):
         log_trans = np.log(params_s[0])
         log_init = np.log(params_s[1])
-    yield (
-        "forward T=1500",
-        backends.forward_loglik_np,
-        getattr(backends, "forward_loglik_jit", None),
-        (obs_l, *params_l),
-    )
+    yield "forward T=1500", backends.forward_loglik, (obs_l, *params_l)
     yield (
         "viterbi T=1500",
-        backends.viterbi_np,
-        getattr(backends, "viterbi_jit", None),
+        backends.viterbi_kernel,
         (obs_l, log_trans, log_init, params_l[2], params_l[3]),
     )
     for name, lengths in (
@@ -80,20 +72,15 @@ def cases(rng):
         ("baum_welch B=3 T~1000", rng.integers(950, 1051, size=3).tolist()),
         ("baum_welch B=100 T~300", rng.integers(250, 351, size=100).tolist()),
     ):
-        yield (
-            name,
-            backends.baum_welch_batch_np,
-            getattr(backends, "baum_welch_batch_jit", None),
-            batch_args(rng, lengths),
-        )
-    # Ward has one numpy kernel; n=400 d=144 is the many-users trajectory shape
+        yield name, backends.baum_welch_batch, batch_args(rng, lengths)
+    # n=400 d=144 is the trajectory shape of the many-users workload
     for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
-        yield (f"ward n={n} d={dim}", backends.ward_linkage, None, (rng.normal(size=(n, dim)),))
+        yield f"ward n={n} d={dim}", backends.ward_linkage, (rng.normal(size=(n, dim)),)
     # the preprocessed tensors of the many-users workload and of the month
     sink = open(os.devnull, "w", encoding="utf-8")
     for dims in ((400, 10, 48), (100, 10, 720)):
         name = "tensor write " + "x".join(str(d) for d in dims)
-        yield (name, write_tensor_text, None, (rng.normal(size=dims), sink))
+        yield name, write_tensor_text, (rng.normal(size=dims), sink)
 
 
 def main():
@@ -101,25 +88,11 @@ def main():
     parser.add_argument("--repeats", type=int, default=7, help="timing repetitions per kernel")
     args = parser.parse_args()
 
-    if backends.HAVE_NUMBA:
-        backends.warmup()
-        print(f"numba available (active backend: {backends.backend_name()})")
-    else:
-        print("numba NOT available: timing the numpy path only")
-
     rng = np.random.default_rng(0)
-    print(f"{'kernel':<26} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}")
-    print("-" * 63)
-    for name, np_fn, jit_fn, call_args in cases(rng):
-        t_np = median_time(np_fn, call_args, args.repeats)
-        if jit_fn is not None:
-            jit_fn(*call_args)  # ensure this signature is compiled
-            t_jit = median_time(jit_fn, call_args, args.repeats)
-            print(
-                f"{name:<26} {t_np * 1e3:>12.3f} {t_jit * 1e3:>12.3f} {t_np / t_jit:>8.1f}x"
-            )
-        else:
-            print(f"{name:<26} {t_np * 1e3:>12.3f} {'-':>12} {'-':>9}")
+    print(f"{'kernel':<26} {'time (ms)':>12}")
+    print("-" * 39)
+    for name, fn, call_args in cases(rng):
+        print(f"{name:<26} {median_time(fn, call_args, args.repeats) * 1e3:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -6,18 +6,13 @@ The two runtime-dominant inner loops of the toolkit live here:
   Baum-Welch fit, and
 * the Lance-Williams update loop of Ward agglomerative clustering.
 
-The HMM kernels exist twice with identical arithmetic: a ``*_np`` version
-written against vectorized numpy, and a scalar-loop twin compiled with
-``numba.njit``. The compiled twin is bound to the public name when numba
-imports successfully and the environment variable ``TRISCOPE_DISABLE_NUMBA``
-is unset (or "0"); otherwise the numpy version is used. Parity between the
-two paths is pinned by ``tests/test_backends.py`` and their speed is
-compared by ``benchmarks/bench_backends.py``.
-
+The HMM kernels have one implementation each, in vectorized numpy.
 Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
-fits many sequences in one call: the numpy version vectorizes each time step
-across the batch, and runs long sequences as a chunked two-level scan (see
-``_chunk_starts``); the compiled version loops its single-sequence kernel.
+fits many sequences in one call: it vectorizes each time step across the
+batch, and runs long sequences as a chunked two-level scan (see
+``_chunk_starts``). Its fits are pinned against a scalar-loop reference in
+``tests/test_backends.py``, and ``benchmarks/bench_backends.py`` times the
+kernels.
 
 Ward has one implementation, :func:`ward_linkage`, in numpy: each node
 caches its nearest neighbour, so a merge costs O(n) plus the rows it
@@ -28,38 +23,21 @@ bit against a full-scan reference in ``tests/test_clustering.py``.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_env = os.environ.get("TRISCOPE_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED_BY_ENV = _env in {"1", "true", "yes", "on"}
-NUMBA_ENABLED = HAVE_NUMBA and not NUMBA_DISABLED_BY_ENV
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _log_gauss_np(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+def _log_gauss(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """(T, N) matrix of per-state Gaussian log-densities."""
     diff = obs[:, None] - means[None, :]
     return -0.5 * (_LOG_2PI + np.log(variances)[None, :] + diff * diff / variances[None, :])
 
 
-def forward_loglik_np(obs, trans, init, means, variances):
+def forward_loglik(obs, trans, init, means, variances):
     """Scaled forward recursion; returns log P(obs | model)."""
-    logb = _log_gauss_np(obs, means, variances)
+    logb = _log_gauss(obs, means, variances)
     loglik = 0.0
     prev = init
     for t in range(obs.shape[0]):
@@ -72,9 +50,9 @@ def forward_loglik_np(obs, trans, init, means, variances):
     return float(loglik)
 
 
-def viterbi_np(obs, log_trans, log_init, means, variances):
+def viterbi_kernel(obs, log_trans, log_init, means, variances):
     """Most-probable state path in log space; ties prefer the lower state."""
-    logb = _log_gauss_np(obs, means, variances)
+    logb = _log_gauss(obs, means, variances)
     T, n = logb.shape
     psi = np.zeros((T, n), dtype=np.int64)
     delta = log_init + logb[0]
@@ -102,7 +80,7 @@ _CHUNK = 16
 _PLAIN_STEPS = 4 * _CHUNK
 
 
-def baum_welch_batch_np(seqs, trans, init, means, variances, var_floor, tol, max_iter):
+def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     """EM for a Gaussian-emission HMM on each of ``B`` observation sequences.
 
     ``seqs`` is a list of 1-D arrays of lengths >= 2; ``trans`` is (B, n, n),
@@ -274,7 +252,7 @@ def _reversal(L, C, K, n):
 
 
 def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_iter):
-    """One padded batch of :func:`baum_welch_batch_np`; ``seqs`` are sorted
+    """One padded batch of :func:`baum_welch_batch`; ``seqs`` are sorted
     by non-increasing length.
 
     The observations form a (T, B) matrix, each column edge-padded past its
@@ -410,15 +388,6 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
     return out_trans, out_init, out_means, out_vars, hists
 
 
-def baum_welch_np(obs, trans, init, means, variances, var_floor, tol, max_iter):
-    """:func:`baum_welch_batch_np` on one sequence (B = 1)."""
-    out = baum_welch_batch_np(
-        [obs], trans[None], init[None], means[None], variances[None],
-        np.array([var_floor]), tol, max_iter,
-    )
-    return out[0][0], out[1][0], out[2][0], out[3][0], out[4][0]
-
-
 def ward_linkage(points):
     """Ward agglomeration via Lance-Williams updates on squared distances.
 
@@ -494,243 +463,3 @@ def ward_linkage(points):
         active[new] = True
         sizes[new] = si + sj
     return merges
-
-
-# ---------------------------------------------------------------------------
-# loop twins (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-
-def _forward_loglik_loop(obs, trans, init, means, variances):
-    T = obs.shape[0]
-    n = init.shape[0]
-    logb = np.empty(n)
-    prev = np.empty(n)
-    cur = np.empty(n)
-    loglik = 0.0
-    for t in range(T):
-        shift = -np.inf
-        for i in range(n):
-            d = obs[t] - means[i]
-            logb[i] = -0.5 * (_LOG_2PI + math.log(variances[i]) + d * d / variances[i])
-            if logb[i] > shift:
-                shift = logb[i]
-        s = 0.0
-        for i in range(n):
-            if t == 0:
-                v = init[i] * math.exp(logb[i] - shift)
-            else:
-                acc = 0.0
-                for j in range(n):
-                    acc += prev[j] * trans[j, i]
-                v = acc * math.exp(logb[i] - shift)
-            cur[i] = v
-            s += v
-        for i in range(n):
-            prev[i] = cur[i] / s
-        loglik += math.log(s) + shift
-    return loglik
-
-
-def _viterbi_loop(obs, log_trans, log_init, means, variances):
-    T = obs.shape[0]
-    n = log_init.shape[0]
-    delta = np.empty(n)
-    nxt = np.empty(n)
-    psi = np.zeros((T, n), dtype=np.int64)
-    for i in range(n):
-        d = obs[0] - means[i]
-        delta[i] = log_init[i] - 0.5 * (
-            _LOG_2PI + math.log(variances[i]) + d * d / variances[i]
-        )
-    for t in range(1, T):
-        for j in range(n):
-            best = -np.inf
-            arg = 0
-            for i in range(n):
-                v = delta[i] + log_trans[i, j]
-                if v > best:  # strict: first maximum wins -> lowest index
-                    best = v
-                    arg = i
-            d = obs[t] - means[j]
-            nxt[j] = best - 0.5 * (
-                _LOG_2PI + math.log(variances[j]) + d * d / variances[j]
-            )
-            psi[t, j] = arg
-        for j in range(n):
-            delta[j] = nxt[j]
-    path = np.empty(T, dtype=np.int64)
-    best = -np.inf
-    arg = 0
-    for i in range(n):
-        if delta[i] > best:
-            best = delta[i]
-            arg = i
-    path[T - 1] = arg
-    for t in range(T - 2, -1, -1):
-        path[t] = psi[t + 1, path[t + 1]]
-    return path
-
-
-def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_iter):
-    T = obs.shape[0]
-    n = init.shape[0]
-    trans = trans.copy()
-    init = init.copy()
-    means = means.copy()
-    variances = variances.copy()
-    hist = np.empty(max_iter + 1)
-    n_hist = 0
-
-    b = np.empty((T, n))
-    shifts = np.empty(T)
-    alpha = np.empty((T, n))
-    beta = np.empty((T, n))
-    gamma = np.empty((T, n))
-    xi_sum = np.empty((n, n))
-
-    for it in range(max_iter + 1):
-        for t in range(T):
-            shift = -np.inf
-            for i in range(n):
-                d = obs[t] - means[i]
-                v = -0.5 * (_LOG_2PI + math.log(variances[i]) + d * d / variances[i])
-                b[t, i] = v
-                if v > shift:
-                    shift = v
-            shifts[t] = shift
-            for i in range(n):
-                b[t, i] = math.exp(b[t, i] - shift)
-
-        ll = 0.0
-        s = 0.0
-        for i in range(n):
-            alpha[0, i] = init[i] * b[0, i]
-            s += alpha[0, i]
-        for i in range(n):
-            alpha[0, i] /= s
-        ll += math.log(s) + shifts[0]
-        for t in range(1, T):
-            s = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += alpha[t - 1, j] * trans[j, i]
-                alpha[t, i] = acc * b[t, i]
-                s += alpha[t, i]
-            for i in range(n):
-                alpha[t, i] /= s
-            ll += math.log(s) + shifts[t]
-
-        hist[n_hist] = ll
-        n_hist += 1
-        if n_hist > 1 and (ll - hist[n_hist - 2]) < tol:
-            break
-        if it == max_iter:
-            break
-
-        for i in range(n):
-            beta[T - 1, i] = 1.0 / n
-        for t in range(T - 2, -1, -1):
-            s = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += trans[i, j] * b[t + 1, j] * beta[t + 1, j]
-                beta[t, i] = acc
-                s += acc
-            for i in range(n):
-                beta[t, i] /= s
-
-        for t in range(T):
-            s = 0.0
-            for i in range(n):
-                gamma[t, i] = alpha[t, i] * beta[t, i]
-                s += gamma[t, i]
-            for i in range(n):
-                gamma[t, i] /= s
-
-        for i in range(n):
-            for j in range(n):
-                xi_sum[i, j] = 0.0
-        for t in range(T - 1):
-            s = 0.0
-            for i in range(n):
-                for j in range(n):
-                    s += alpha[t, i] * trans[i, j] * b[t + 1, j] * beta[t + 1, j]
-            for i in range(n):
-                for j in range(n):
-                    xi_sum[i, j] += alpha[t, i] * trans[i, j] * b[t + 1, j] * beta[t + 1, j] / s
-
-        for i in range(n):
-            init[i] = gamma[0, i]
-        for i in range(n):
-            denom = 0.0
-            for t in range(T - 1):
-                denom += gamma[t, i]
-            if denom > 0.0:
-                rs = 0.0
-                for j in range(n):
-                    rs += xi_sum[i, j]
-                for j in range(n):
-                    trans[i, j] = xi_sum[i, j] / rs
-        for i in range(n):
-            denom = 0.0
-            num = 0.0
-            for t in range(T):
-                denom += gamma[t, i]
-                num += gamma[t, i] * obs[t]
-            if denom > 0.0:
-                mu = num / denom
-                acc = 0.0
-                for t in range(T):
-                    d = obs[t] - mu
-                    acc += gamma[t, i] * d * d
-                var = acc / denom
-                means[i] = mu
-                variances[i] = var if var > var_floor else var_floor
-
-    return trans, init, means, variances, hist[:n_hist].copy()
-
-
-if HAVE_NUMBA:
-    forward_loglik_jit = njit(cache=True)(_forward_loglik_loop)
-    viterbi_jit = njit(cache=True)(_viterbi_loop)
-    baum_welch_jit = njit(cache=True)(_baum_welch_loop)
-
-    def baum_welch_batch_jit(seqs, trans, init, means, variances, var_floor, tol, max_iter):
-        """:func:`baum_welch_batch_np`'s contract, one compiled fit per sequence."""
-        outs = [
-            baum_welch_jit(s, trans[k], init[k], means[k], variances[k], var_floor[k], tol, max_iter)
-            for k, s in enumerate(seqs)
-        ]
-        stacked = tuple(np.array([o[p] for o in outs]) for p in range(4))
-        return (*stacked, [o[4] for o in outs])
-
-
-if NUMBA_ENABLED:
-    forward_loglik = forward_loglik_jit
-    viterbi_kernel = viterbi_jit
-    baum_welch_batch = baum_welch_batch_jit
-else:
-    forward_loglik = forward_loglik_np
-    viterbi_kernel = viterbi_np
-    baum_welch_batch = baum_welch_batch_np
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    obs = np.array([0.0, 1.0, 0.5, 2.0])
-    trans = np.array([[0.9, 0.1], [0.1, 0.9]])
-    init = np.array([0.5, 0.5])
-    means = np.array([0.0, 1.0])
-    variances = np.array([1.0, 1.0])
-    forward_loglik(obs, trans, init, means, variances)
-    with np.errstate(divide="ignore"):
-        viterbi_kernel(obs, np.log(trans), np.log(init), means, variances)
-    baum_welch_batch([obs], trans[None], init[None], means[None], variances[None],
-                     np.array([1e-12]), 1e-6, 3)

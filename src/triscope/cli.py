@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, backends
+from . import __version__
 from .anomaly import user_scores
 from .clustering import center_trajectory, cut, detect_events, ward_cluster
 from .errors import DegenerateInputError, InvalidInputError, NumericalError, TriscopeError
@@ -446,20 +446,15 @@ def stage_events(cfg: PipelineConfig, centers: list[Trajectory]):
 
 
 def _write_manifest(cfg: PipelineConfig, command: str, out: Path) -> None:
-    numba_state = "enabled" if backends.NUMBA_ENABLED else (
-        "disabled" if backends.HAVE_NUMBA else "missing"
-    )
     _write_json(
         out / "manifest.json",
         {
             "command": command,
             "config": asdict(cfg),
             "rng": RNG_NAME,
-            "backend": backends.backend_name(),
             "versions": {
                 "triscope": __version__,
                 "numpy": np.__version__,
-                "numba": numba_state,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
             },
         },

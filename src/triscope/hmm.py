@@ -3,8 +3,9 @@
 Covers the three classic problems on a single observation sequence:
 likelihood via the scaled forward recursion, decoding via log-space Viterbi,
 and parameter estimation via Baum-Welch, which :func:`baum_welch_many` runs
-on many sequences in one batched call. The pipeline fixes two states; the
-routines themselves work for any state count.
+on many sequences in one batched call. All three run on the numpy kernels
+of :mod:`triscope.backends`. The pipeline fixes two states; the routines
+themselves work for any state count.
 
 State order is canonical when means are non-decreasing; :func:`baum_welch`
 returns canonical models and :func:`extract_features` canonicalizes its
@@ -83,7 +84,7 @@ class HmmModel:
         trans = np.clip(trans, 0.0, 1.0)
         init = np.clip(init, 0.0, 1.0)
         for name, arr in (("trans", trans), ("init", init), ("means", means), ("variances", variances)):
-            arr = np.ascontiguousarray(arr)
+            arr = np.ascontiguousarray(arr).view()  # freeze a view, never the caller's array
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -163,6 +163,13 @@ class HmmConfig:
     max_iter: int = 200
 
 
+def _record_lines(lines: list[str]) -> list[int]:
+    """The line number of each record of :func:`parse_log`, whose loop
+    skips blank lines. Worked out only for an error message, so parsing
+    keeps no per-record list of line numbers."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
 def parse_log(source, window_start: int | None = None, window_hours: int = 720) -> NotificationLog:
     """Parse the CSV wire format into a sorted, deduplicated log.
 
@@ -177,11 +184,18 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
     f = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
         raw = f.read()
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a whole read decodes in one call, so exc.object holds every byte
+        # read; those before the first invalid one decode, count their lines
+        head = exc.object[: exc.start].decode("utf-8")
+        raise InvalidInputError(
+            f"line {len((head + 'x').splitlines())}: not valid UTF-8: {exc.reason}"
+        ) from exc
     finally:
         if own:
             f.close()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
 
     lines = raw.splitlines()
     if not lines or lines[0].strip().lstrip("﻿") != _HEADER:
@@ -202,14 +216,23 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
         users.append(parts[0].strip())
         stamps.append(ts)
 
-    ts_arr = np.asarray(stamps, dtype=np.int64)
+    try:
+        ts_arr = np.asarray(stamps, dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        k = next(k for k, ts in enumerate(stamps) if not info.min <= ts <= info.max)
+        raise InvalidInputError(
+            f"line {_record_lines(lines)[k]}: timestamp outside the 64-bit integer range: "
+            f"{stamps[k]}"
+        ) from None
     if window_start is None:
         window_start = int(ts_arr.min()) // HOUR * HOUR if ts_arr.size else 0
     window_end = window_start + HOUR * window_hours
 
     bad = np.flatnonzero((ts_arr < window_start) | (ts_arr >= window_end))
     if bad.size:
-        offenders = ", ".join(str(int(b) + 2) for b in bad[:5])
+        linenos = _record_lines(lines)
+        offenders = ", ".join(str(linenos[b]) for b in bad[:5])
         more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
         raise InvalidInputError(
             f"{bad.size} timestamp(s) outside [{window_start}, {window_end}): lines {offenders}{more}"

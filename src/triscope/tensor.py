@@ -59,7 +59,7 @@ def tensor3(values, dims: tuple[int, int, int] | None = None) -> np.ndarray:
         raise InvalidInputError(f"tensor extents must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("tensor values must all be finite")
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr).view()  # freeze a view, never the caller's array
     arr.flags.writeable = False
     return arr
 
@@ -75,7 +75,7 @@ def matrix(values, shape: tuple[int, int] | None = None) -> np.ndarray:
         raise InvalidInputError(f"matrix must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("matrix values must all be finite")
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr).view()  # freeze a view, never the caller's array
     arr.flags.writeable = False
     return arr
 

@@ -1,17 +1,12 @@
-"""Parity between the numba HMM kernels and their numpy fallbacks, the batched
-Baum-Welch engine against the scalar loop reference, plus the environment
-switch."""
+"""The batched Baum-Welch engine against a scalar loop reference."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
 from triscope import backends
 
-needs_numba = pytest.mark.skipif(not backends.HAVE_NUMBA, reason="numba unavailable")
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def random_case(rng, t=60):
@@ -44,44 +39,136 @@ def absorbing_case(rng, t):
     return obs, trans, np.array([0.5, 0.5]), np.array([5.0, 200.0]), np.array([1.0, 1.0])
 
 
-@needs_numba
-class TestKernelParity:
-    def test_forward(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            obs, trans, init, means, var = random_case(rng)
-            a = backends.forward_loglik_np(obs, trans, init, means, var)
-            b = backends.forward_loglik_jit(obs, trans, init, means, var)
-            np.testing.assert_allclose(a, b, rtol=1e-10)
+def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_iter):
+    """Baum-Welch on one sequence as scalar loops over time and states: the
+    reference the batched engine is checked against."""
+    T = obs.shape[0]
+    n = init.shape[0]
+    trans = trans.copy()
+    init = init.copy()
+    means = means.copy()
+    variances = variances.copy()
+    hist = np.empty(max_iter + 1)
+    n_hist = 0
 
-    def test_viterbi(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            obs, trans, init, means, var = random_case(rng)
-            with np.errstate(divide="ignore"):
-                lt, li = np.log(trans), np.log(init)
-            a = backends.viterbi_np(obs, lt, li, means, var)
-            b = backends.viterbi_jit(obs, lt, li, means, var)
-            assert np.array_equal(a, b)
+    b = np.empty((T, n))
+    shifts = np.empty(T)
+    alpha = np.empty((T, n))
+    beta = np.empty((T, n))
+    gamma = np.empty((T, n))
+    xi_sum = np.empty((n, n))
 
-    def test_baum_welch(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            obs, trans, init, means, var = random_case(rng)
-            out_np = backends.baum_welch_np(obs, trans, init, means, var, 1e-9, 1e-6, 80)
-            out_jit = backends.baum_welch_jit(obs, trans, init, means, var, 1e-9, 1e-6, 80)
-            assert len(out_np[4]) == len(out_jit[4])
-            for a, b in zip(out_np, out_jit):
-                np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
+    for it in range(max_iter + 1):
+        for t in range(T):
+            shift = -np.inf
+            for i in range(n):
+                d = obs[t] - means[i]
+                v = -0.5 * (_LOG_2PI + math.log(variances[i]) + d * d / variances[i])
+                b[t, i] = v
+                if v > shift:
+                    shift = v
+            shifts[t] = shift
+            for i in range(n):
+                b[t, i] = math.exp(b[t, i] - shift)
+
+        ll = 0.0
+        s = 0.0
+        for i in range(n):
+            alpha[0, i] = init[i] * b[0, i]
+            s += alpha[0, i]
+        for i in range(n):
+            alpha[0, i] /= s
+        ll += math.log(s) + shifts[0]
+        for t in range(1, T):
+            s = 0.0
+            for i in range(n):
+                acc = 0.0
+                for j in range(n):
+                    acc += alpha[t - 1, j] * trans[j, i]
+                alpha[t, i] = acc * b[t, i]
+                s += alpha[t, i]
+            for i in range(n):
+                alpha[t, i] /= s
+            ll += math.log(s) + shifts[t]
+
+        hist[n_hist] = ll
+        n_hist += 1
+        if n_hist > 1 and (ll - hist[n_hist - 2]) < tol:
+            break
+        if it == max_iter:
+            break
+
+        for i in range(n):
+            beta[T - 1, i] = 1.0 / n
+        for t in range(T - 2, -1, -1):
+            s = 0.0
+            for i in range(n):
+                acc = 0.0
+                for j in range(n):
+                    acc += trans[i, j] * b[t + 1, j] * beta[t + 1, j]
+                beta[t, i] = acc
+                s += acc
+            for i in range(n):
+                beta[t, i] /= s
+
+        for t in range(T):
+            s = 0.0
+            for i in range(n):
+                gamma[t, i] = alpha[t, i] * beta[t, i]
+                s += gamma[t, i]
+            for i in range(n):
+                gamma[t, i] /= s
+
+        for i in range(n):
+            for j in range(n):
+                xi_sum[i, j] = 0.0
+        for t in range(T - 1):
+            s = 0.0
+            for i in range(n):
+                for j in range(n):
+                    s += alpha[t, i] * trans[i, j] * b[t + 1, j] * beta[t + 1, j]
+            for i in range(n):
+                for j in range(n):
+                    xi_sum[i, j] += alpha[t, i] * trans[i, j] * b[t + 1, j] * beta[t + 1, j] / s
+
+        for i in range(n):
+            init[i] = gamma[0, i]
+        for i in range(n):
+            denom = 0.0
+            for t in range(T - 1):
+                denom += gamma[t, i]
+            if denom > 0.0:
+                rs = 0.0
+                for j in range(n):
+                    rs += xi_sum[i, j]
+                for j in range(n):
+                    trans[i, j] = xi_sum[i, j] / rs
+        for i in range(n):
+            denom = 0.0
+            num = 0.0
+            for t in range(T):
+                denom += gamma[t, i]
+                num += gamma[t, i] * obs[t]
+            if denom > 0.0:
+                mu = num / denom
+                acc = 0.0
+                for t in range(T):
+                    d = obs[t] - mu
+                    acc += gamma[t, i] * d * d
+                var = acc / denom
+                means[i] = mu
+                variances[i] = var if var > var_floor else var_floor
+
+    return trans, init, means, variances, hist[:n_hist].copy()
 
 
 class TestBatchedEngine:
     def test_matches_loop_reference(self):
-        """The batched numpy engine on sequences of mixed lengths against the
-        scalar loop twin of the compiled kernel, run as plain Python. The
-        lengths cover the plain recursion, the blocked scan up to T = 1000,
-        and one step either side of a chunk boundary; two starts are nearly
-        absorbing. No step, padding included, divides 0 by 0."""
+        """The batched engine on sequences of mixed lengths against the
+        scalar loop reference. The lengths cover the plain recursion, the
+        blocked scan up to T = 1000, and one step either side of a chunk
+        boundary; two starts are nearly absorbing. No step, padding
+        included, divides 0 by 0."""
         rng = np.random.default_rng(4)
         size = backends._CHUNK
         m = backends._PLAIN_STEPS // size + 1  # the fewest chunks of a blocked scan
@@ -89,7 +176,7 @@ class TestBatchedEngine:
         cases += [slow_case(rng, t) for t in (1000, size * m - 1, size * m, size * m + 1)]
         cases += [absorbing_case(rng, t) for t in (300, size * m + 1)]
         with np.errstate(divide="raise", invalid="raise"):
-            out = backends.baum_welch_batch_np(
+            out = backends.baum_welch_batch(
                 [c[0] for c in cases],
                 *(np.array([c[k] for c in cases]) for k in range(1, 5)),
                 np.full(len(cases), 1e-9),
@@ -97,7 +184,7 @@ class TestBatchedEngine:
                 40,
             )
         for k, (obs, trans, init, means, var) in enumerate(cases):
-            ref = backends._baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, 40)
+            ref = _baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, 40)
             got = [p[k] for p in out]
             assert len(got[4]) == len(ref[4])
             for a, b in zip(got, ref):
@@ -113,49 +200,10 @@ class TestBatchedEngine:
             1e-6,
             40,
         )
-        whole = backends.baum_welch_batch_np(*args)
+        whole = backends.baum_welch_batch(*args)
         monkeypatch.setattr(backends, "_BATCH_CELLS", 80)  # two sequences per batch
-        split = backends.baum_welch_batch_np(*args)
+        split = backends.baum_welch_batch(*args)
         for a, b in zip(whole[:4], split[:4]):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(whole[4], split[4]):
             np.testing.assert_array_equal(a, b)
-
-
-class TestEnvironmentSwitch:
-    def test_disable_flag_selects_numpy(self):
-        env = dict(os.environ, TRISCOPE_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from triscope import backends; print(backends.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_default_reports_active_backend(self):
-        assert backends.backend_name() in ("numba", "numpy")
-        if backends.NUMBA_ENABLED:
-            assert backends.forward_loglik is backends.forward_loglik_jit
-        else:
-            assert backends.forward_loglik is backends.forward_loglik_np
-
-    def test_disabled_pipeline_smoke(self):
-        """The numpy fallback drives the same public API."""
-        env = dict(os.environ, TRISCOPE_DISABLE_NUMBA="1")
-        code = (
-            "import numpy as np\n"
-            "from triscope import baum_welch, ward_cluster, backends\n"
-            "assert backends.backend_name() == 'numpy'\n"
-            "obs = np.concatenate([np.full(10, 2.0) + np.arange(10)*0.01, np.full(10, 50.0) - np.arange(10)*0.1])\n"
-            "m = baum_welch(obs, seed=0)\n"
-            "assert m.means[0] < m.means[1]\n"
-            "d = ward_cluster(np.array([[0.0, 0], [0.1, 0], [5, 5], [5.1, 5]]))\n"
-            "assert d.merges.shape == (3, 4)\n"
-            "print('ok')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "ok"

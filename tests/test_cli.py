@@ -106,8 +106,9 @@ class TestPipelineOutputs:
         data = json.loads((pipeline_dir / "manifest.json").read_text())
         assert data["command"] == "pipeline"
         assert data["rng"] == "numpy.random.PCG64"
-        assert data["backend"] in ("numba", "numpy")
         assert data["config"]["window_hours"] == 48
+        assert set(data) == {"command", "config", "rng", "versions"}
+        assert set(data["versions"]) == {"triscope", "numpy", "python"}
 
     def test_decompose_matches_library_call(self, pipeline_dir):
         """The persisted model equals a library-level fit of the persisted
@@ -229,6 +230,17 @@ class TestFailureModes:
         log.write_text("user_id,timestamp\nu1,notanumber\n")
         code = main(["ingest", "--log", str(log), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_INGEST
+
+    @pytest.mark.parametrize(
+        "body", [b"u1,0\nu2,99999999999999999999999\n", b"u1,0\nu1,\xff0\n"],
+        ids=["beyond-int64", "not-utf8"],
+    )
+    def test_undecodable_log_fails_at_ingest(self, tmp_path, capsys, body):
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"user_id,timestamp\n" + body)
+        code = main(["ingest", "--log", str(log), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_INGEST
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_intermediate_names_file(self, tmp_path, capsys):
         code = main(["cluster", "--out-dir", str(tmp_path / "nothing")])

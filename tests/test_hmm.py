@@ -313,3 +313,13 @@ class TestModelValidation:
     def test_negative_probability(self):
         with pytest.raises(InvalidInputError):
             HmmModel(trans=[[1.1, -0.1], [0.5, 0.5]], init=[0.5, 0.5], means=[0, 1], variances=[1, 1])
+
+    def test_inputs_stay_writable_and_fields_frozen(self):
+        trans, init = np.full((2, 2), 0.5), np.full(2, 0.5)
+        means, variances = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        m = HmmModel(trans, init, means, variances)
+        for arr in (trans, init, means, variances):
+            assert arr.flags.writeable
+        for arr in (m.trans, m.init, m.means, m.variances):
+            assert not arr.flags.writeable
+        means[0] = -1.0  # the caller still owns its array

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscope import (
     FEATURE_NAMES,
@@ -22,6 +24,13 @@ from triscope import (
     preprocess,
 )
 from triscope.ingest import PROV_FALLBACK, PROV_HOUR, PROV_ZERO, user_seed
+
+
+# log lines of a user id and a timestamp that may not be an int64 or a number
+RECORDS = st.lists(
+    st.tuples(st.text(max_size=4), st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6))),
+    max_size=6,
+).map(lambda rows: "".join(f"{u},{t}\n" for u, t in rows))
 
 
 def log_from(text, **kw):
@@ -62,6 +71,38 @@ class TestParseLog:
         text = "user_id,timestamp\na,100\na,99999\n"
         with pytest.raises(InvalidInputError, match="lines 3"):
             log_from(text, window_start=0, window_hours=1)
+
+    def test_out_of_window_line_counts_blank_lines(self):
+        text = "user_id,timestamp\n\n\nu1,0\nu2,99999999\n"
+        with pytest.raises(InvalidInputError, match="lines 5$"):
+            log_from(text, window_hours=2)
+
+    def test_timestamp_beyond_int64_carries_number(self):
+        text = "user_id,timestamp\nu1,0\n\nu2,-99999999999999999999999\n"
+        with pytest.raises(InvalidInputError, match="line 4"):
+            log_from(text, window_hours=2)
+
+    def test_invalid_utf8_carries_number(self, tmp_path):
+        data = b"user_id,timestamp\r\nu1,0\r\n" + b"u1,1\n" * 5000 + b"u1,\xff0\r\n"
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        for source in (io.BytesIO(data), path, text):
+            with pytest.raises(InvalidInputError, match="line 5003: not valid UTF-8"):
+                parse_log(source, window_hours=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), st.binary(), RECORDS), st.integers(1, 10**6))
+    def test_any_body_parses_or_raises_invalid_input(self, body, window_hours):
+        """Whatever follows a valid header, parsing either succeeds or
+        raises InvalidInputError, never another exception."""
+        if isinstance(body, str):
+            body = body.encode("utf-8", "surrogatepass")
+        try:
+            log = parse_log(io.BytesIO(b"user_id,timestamp\n" + body), window_hours=window_hours)
+        except InvalidInputError:
+            return
+        assert log.n_records == log.users.size
 
     def test_window_start_derived_from_earliest(self):
         log = log_from("user_id,timestamp\na,7523\na,8000\n", window_hours=2)

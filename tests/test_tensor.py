@@ -16,7 +16,7 @@ from triscope import (
     unfold,
     write_tensor_text,
 )
-from triscope.tensor import _BLOCK, write_matrix_text
+from triscope.tensor import _BLOCK, matrix, write_matrix_text
 
 
 def column_index(mode, i, j, k, dims):
@@ -56,6 +56,18 @@ class TestConstruction:
         t = tensor3(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             t[0, 0, 0] = 1.0
+
+    def test_tensor3_leaves_input_writable(self):
+        a = np.zeros((2, 3, 4))
+        t = tensor3(a)
+        assert a.flags.writeable and not t.flags.writeable
+        a[0, 0, 0] = 1.0  # the caller still owns its array
+
+    def test_matrix_leaves_input_writable(self):
+        a = np.zeros((2, 3))
+        m = matrix(a)
+        assert a.flags.writeable and not m.flags.writeable
+        a[0, 0] = 1.0
 
 
 class TestUnfold:
