@@ -6,7 +6,7 @@ formats), so stages compose across processes and any stage can be re-run
 from the previous stage's files. ``pipeline`` hands each stage's arrays to
 the next in memory and writes every file once; only the single-stage
 commands read intermediates back, through the same stage functions. All
-outputs are byte-deterministic for a fixed config and seed.
+outputs are byte-deterministic for a fixed config (the synth seed included).
 
 Exit codes: 0 ok, 2 config/usage, 3 ingest, 4 decomposition (incl. rank and
 trajectories, which consume the model), 5 clustering/events, 6 I/O (missing
@@ -78,7 +78,6 @@ class PipelineConfig:
     window_start: int | None = None
     window_hours: int = 720
     min_obs: int = 6
-    hmm_seed: int = 0
     hmm_tol: float = 1e-6
     hmm_max_iter: int = 200
     max_p: int = 3
@@ -139,6 +138,23 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# JSON types a config-file value may take, by the base type of its field;
+# window_start also takes an ISO-8601 string, and null passes only where the
+# default is None
+_FILE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_file_types(data: dict) -> None:
+    for f in fields(PipelineConfig):
+        if f.name not in data or (data[f.name] is None and f.default is None):
+            continue
+        value = data[f.name]
+        allowed = (int, str) if f.name == "window_start" else _FILE_TYPES[f.type.split(" |")[0]]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            kinds = " or ".join(t.__name__ for t in allowed)
+            raise InvalidInputError(f"config key {f.name!r} must be {kinds}, got {value!r}")
+
+
 def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict | None]:
     """Merge defaults < config file < CLI flags; returns (config, synth section)."""
     data = _load_config_file(getattr(args, "config", None))
@@ -148,6 +164,7 @@ def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dic
     unknown = set(data) - known
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+    _check_file_types(data)
     cfg = PipelineConfig(**data)
 
     overrides = {}
@@ -325,10 +342,8 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
         raise StageError("ingest", f"input log not found: {log_path}", EXIT_IO)
     log = parse_log(log_path, cfg.window_start, cfg.window_hours)
     hourly = compute_deltas(log)
-    ft = build_feature_tensor(
-        hourly,
-        HmmConfig(seed=cfg.hmm_seed, min_obs=cfg.min_obs, tol=cfg.hmm_tol, max_iter=cfg.hmm_max_iter),
-    )
+    hmm = HmmConfig(min_obs=cfg.min_obs, tol=cfg.hmm_tol, max_iter=cfg.hmm_max_iter)
+    ft = build_feature_tensor(hourly, hmm)
     print(
         f"ingest: {ft.hmm_fits_at_max_iter} of {ft.hmm_fits} HMM fits reached "
         f"max_iter={cfg.hmm_max_iter}",
@@ -351,12 +366,7 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
                 "fallback": int((prov == 1).sum()),
                 "zero": int((prov == 0).sum()),
             },
-            "hmm": {
-                "seed": cfg.hmm_seed,
-                "min_obs": cfg.min_obs,
-                "tol": cfg.hmm_tol,
-                "max_iter": cfg.hmm_max_iter,
-            },
+            "hmm": asdict(hmm),
         },
     )
     return ft
@@ -526,7 +536,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-start", dest="window_start", help="ISO-8601 instant or Unix seconds")
     p.add_argument("--window-hours", dest="window_hours", type=int, help="window length in hours")
     p.add_argument("--min-obs", dest="min_obs", type=int, help="min inter-arrivals for an hourly HMM fit")
-    p.add_argument("--hmm-seed", dest="hmm_seed", type=int, help="seed for HMM initialization")
     p.add_argument("--max-p", dest="max_p", type=int, help="scree grid bound, user mode")
     p.add_argument("--max-q", dest="max_q", type=int, help="scree grid bound, feature mode")
     p.add_argument("--max-r", dest="max_r", type=int, help="scree grid bound, hour mode")

@@ -136,15 +136,18 @@ def viterbi(model: HmmModel, obs) -> np.ndarray:
     return backends.viterbi_kernel(o, log_trans, log_init, model.means, model.variances)
 
 
-def _initial_params(obs: np.ndarray, n_states: int, seed: int, var_floor: float):
-    """Deterministic seeded start: quantile-split means and per-bucket
-    variances (k-means style), sticky transitions, uniform start, all
-    perturbed by +/-1% jitter.
+def _initial_params(obs: np.ndarray, n_states: int, var_floor: float):
+    """Deterministic start: quantile-split means and per-bucket variances
+    (k-means style), sticky transitions, uniform start.
 
     Bucket variances rather than the pooled variance: with both states
     initialized to the global spread, far-separated regimes leave the
     responsibilities nearly uniform and EM crawls along a saddle for
-    hundreds of iterations before splitting the states.
+    hundreds of iterations before splitting the states. With two states a
+    non-constant sequence always gets two distinct means: values up to the
+    median go to state 0, the rest to state 1, or state 1 takes the 0.75
+    quantile (the maximum) when none remain. So the start is never
+    symmetric and needs no random perturbation.
     """
     n = n_states
     edges = np.quantile(obs, np.arange(1, n) / n)
@@ -159,51 +162,37 @@ def _initial_params(obs: np.ndarray, n_states: int, seed: int, var_floor: float)
     trans = np.full((n, n), 0.1 / (n - 1) if n > 1 else 0.0)
     np.fill_diagonal(trans, 0.9 if n > 1 else 1.0)
     init = np.full(n, 1.0 / n)
-
-    rng = np.random.default_rng(seed)
-
-    def jitter(a: np.ndarray) -> np.ndarray:
-        return a * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=a.shape))
-
-    trans = jitter(trans)
-    trans /= trans.sum(axis=1, keepdims=True)
-    init = jitter(init)
-    init /= init.sum()
-    means = jitter(means)
-    variances = np.maximum(jitter(variances), var_floor)
     return trans, init, means, variances
 
 
 def baum_welch(
     obs,
     n_states: int = 2,
-    seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> HmmModel:
     """Fit an HMM to one observation sequence by EM.
 
-    The log-likelihood is non-decreasing across iterations and the loop stops
+    The fit is a function of ``obs`` and the arguments alone. The
+    log-likelihood is non-decreasing across iterations and the loop stops
     once it improves by less than ``tol`` (or at ``max_iter``). A constant
     sequence cannot support estimation: the returned model then collapses
     both states onto the constant with floored variance and sets
     ``degenerate``.
     """
-    return baum_welch_many([obs], n_states, [seed], tol, max_iter)[0]
+    return baum_welch_many([obs], n_states, tol, max_iter)[0]
 
 
 def baum_welch_many(
     sequences,
     n_states: int = 2,
-    seeds=None,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> list[HmmModel]:
-    """:func:`baum_welch` on each of several sequences, ``seeds[k]`` seeding
-    the start of ``sequences[k]`` (all 0 when omitted).
+    """:func:`baum_welch` on each of several sequences.
 
     All non-constant sequences go to the batched EM kernel in one call, and
-    element ``k`` equals ``baum_welch(sequences[k], n_states, seeds[k], tol,
+    element ``k`` equals ``baum_welch(sequences[k], n_states, tol,
     max_iter)`` bit for bit, whatever the other sequences are.
     """
     if n_states < 1:
@@ -211,14 +200,11 @@ def baum_welch_many(
     if tol <= 0 or max_iter < 1:
         raise InvalidInputError("tol must be > 0 and max_iter >= 1")
     obs = [_as_obs(s) for s in sequences]
-    seeds = [0] * len(obs) if seeds is None else list(seeds)
-    if len(seeds) != len(obs):
-        raise InvalidInputError(f"got {len(seeds)} seeds for {len(obs)} sequences")
 
     models: list[HmmModel | None] = [None] * len(obs)
     fit: list[int] = []
     starts = []
-    for k, (o, seed) in enumerate(zip(obs, seeds)):
+    for k, o in enumerate(obs):
         if o.shape[0] < 2 * n_states:
             raise InvalidInputError(
                 f"need at least {2 * n_states} observations for {n_states} states, got {o.shape[0]}"
@@ -235,7 +221,7 @@ def baum_welch_many(
                                  loglik_history=np.array([ll]))
         else:
             fit.append(k)
-            starts.append((*_initial_params(o, n_states, seed, var_floor), var_floor))
+            starts.append((*_initial_params(o, n_states, var_floor), var_floor))
 
     if fit:
         trans, init, means, variances, floors = (np.array(p) for p in zip(*starts))

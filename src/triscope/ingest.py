@@ -22,6 +22,8 @@ underflow bin (< 1 s) and an overflow bin (>= 3600 s).
 Hours with at least ``min_obs`` inter-arrivals get their own HMM fit;
 sparser hours fall back to the user's whole-window fit, and users whose
 whole window is too sparse get zeros. Provenance of every cell is retained.
+A user's features depend only on that user's messages, the window and the
+HMM config, never on the other users in the log.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "hour_summary_features",
     "build_feature_tensor",
     "preprocess",
-    "user_seed",
 ]
 
 HOUR = 3600
@@ -157,7 +158,6 @@ class FeatureTensor:
 class HmmConfig:
     """Knobs for the per-cell HMM fits."""
 
-    seed: int = 0
     min_obs: int = 6
     tol: float = 1e-6
     max_iter: int = 200
@@ -176,7 +176,8 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
     ``source`` may be a path or a text/binary stream. When ``window_start``
     is None it defaults to the earliest timestamp rounded down to the hour
     (0 for an empty log). Timestamps outside the window are rejected with
-    the offending line numbers.
+    the offending line numbers, and so is a window whose bounds or span do
+    not fit 64-bit integer seconds.
     """
     if window_hours < 1:
         raise InvalidInputError(f"window_hours must be >= 1, got {window_hours}")
@@ -216,10 +217,10 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
         users.append(parts[0].strip())
         stamps.append(ts)
 
+    info = np.iinfo(np.int64)
     try:
         ts_arr = np.asarray(stamps, dtype=np.int64)
     except OverflowError:
-        info = np.iinfo(np.int64)
         k = next(k for k, ts in enumerate(stamps) if not info.min <= ts <= info.max)
         raise InvalidInputError(
             f"line {_record_lines(lines)[k]}: timestamp outside the 64-bit integer range: "
@@ -228,6 +229,12 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
     if window_start is None:
         window_start = int(ts_arr.min()) // HOUR * HOUR if ts_arr.size else 0
     window_end = window_start + HOUR * window_hours
+    # hour bins are (ts - window_start) // HOUR in int64: the bounds and the
+    # span must all fit, or the subtraction wraps around
+    if not (info.min <= window_start and window_end <= info.max and HOUR * window_hours <= info.max):
+        raise InvalidInputError(
+            f"window [{window_start}, {window_end}) does not fit 64-bit integer seconds"
+        )
 
     bad = np.flatnonzero((ts_arr < window_start) | (ts_arr >= window_end))
     if bad.size:
@@ -345,14 +352,6 @@ def _summary_slabs(hourly: HourlyDeltas) -> np.ndarray:
     return out.reshape(4, n_users, n_hours).transpose(1, 0, 2)
 
 
-def user_seed(base_seed: int, user_index: int) -> int:
-    """Deterministic per-user HMM seed. Hour fits of a user share its seed:
-    seeding per (user, hour) would make features depend on the absolute hour
-    index, breaking invariance under whole-hour time shifts of the log."""
-    ss = np.random.SeedSequence([int(base_seed), int(user_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) -> FeatureTensor:
     """Assemble the Users x 10 x Hours tensor from hourly inter-arrivals."""
     n_users = len(hourly.user_ids)
@@ -366,16 +365,13 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
     # pass 1: collect every dense hour and the window series of each user
     # with a sparse hour; hour == -1 marks a window fit
     seqs: list[np.ndarray] = []
-    seeds: list[int] = []
     cells: list[tuple[int, int]] = []
     for u in range(n_users):
-        seed = user_seed(config.seed, u)
         sparse = False
         for h in range(n_hours):
             seq = hourly.deltas[u][h]
             if seq.size >= config.min_obs:
                 seqs.append(seq)
-                seeds.append(seed)
                 cells.append((u, h))
                 prov[u, h] = PROV_HOUR
             else:
@@ -384,13 +380,12 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
             series = hourly.window_series(u)
             if series.size >= config.min_obs:
                 seqs.append(series)
-                seeds.append(seed)
                 cells.append((u, -1))
 
     x[:, 6:] = _summary_slabs(hourly)
 
     # pass 2: fit them all in one batched call
-    models = baum_welch_many(seqs, 2, seeds, config.tol, config.max_iter)
+    models = baum_welch_many(seqs, 2, config.tol, config.max_iter)
     for (u, h), model in zip(cells, models):
         if h >= 0:
             x[u, :6, h] = extract_features(model)

@@ -94,7 +94,7 @@ def test_em_monotonicity():
             [rng.exponential(rng.uniform(5, 50), 100), rng.exponential(rng.uniform(200, 2000), 100)]
         )
         rng.shuffle(obs)
-        model = baum_welch(obs, seed=seed)
+        model = baum_welch(obs)
         drops = np.diff(model.loglik_history)
         assert np.all(drops >= -1e-9), f"seed {seed}: worst drop {drops.min()}"
     assert time.perf_counter() - t0 < 10.0
@@ -106,7 +106,7 @@ def test_planted_hmm_recovery():
     hot = rng.random(500) < 0.5
     obs = np.where(hot, rng.normal(100.0, 20.0, 500), rng.normal(1.0, 0.2, 500))
     t0 = time.perf_counter()
-    model = baum_welch(obs, seed=0)
+    model = baum_welch(obs)
     elapsed = time.perf_counter() - t0
     assert abs(model.means[0] - 1.0) / 1.0 < 0.10, model.means
     assert abs(model.means[1] - 100.0) / 100.0 < 0.10, model.means

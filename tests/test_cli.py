@@ -288,6 +288,43 @@ class TestFailureModes:
         log.write_text("user_id,timestamp\nu,10\n")
         assert main(["pipeline", "--log", str(log), "--cutoff", "-1"]) == EXIT_CONFIG
 
+    def test_window_overflowing_int64_fails_at_ingest(self, tmp_path, capsys):
+        """Hour bins are int64 offsets from the window start; a window whose
+        span does not fit would wrap them around."""
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,timestamp\nu,-4611686018427387904\nu,4611686018427387904\n")
+        args = ["ingest", "--log", str(log), "--out-dir", str(tmp_path / "o"),
+                "--window-hours", "3000000000000000"]
+        assert main(args) == EXIT_INGEST
+        assert "64-bit" in capsys.readouterr().err
+
+    def test_hmm_seed_is_gone(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"hmm_seed": 0}')
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--hmm-seed", "0"])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, data", [
+        ("pipeline", {"window_hours": "96"}),
+        ("cluster", {"cutoff": "0.5"}),
+        ("events", {"k_mad": "4"}),
+        ("ingest", {"min_obs": True}),
+        ("ingest", {"window_hours": 48.0}),
+        ("ingest", {"window_hours": None}),
+        ("rank", {"n_components": "2"}),
+        ("rank", {"out_dir": 3}),
+        ("ingest", {"log": ["log.csv"]}),
+        ("ingest", {"window_start": 3600.5}),
+        ("events", {"k_mad": False}),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, command, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert f"config key {next(iter(data))!r}" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_config_file_plus_flag_override(self, tmp_path):
@@ -315,6 +352,16 @@ class TestConfigHandling:
         assert (out / "ranking.csv").exists()
         meta = json.loads((out / "tensor_meta.json").read_text())
         assert meta["window_hours"] == 24
+
+    def test_manifest_config_reads_back(self, pipeline_dir, tmp_path):
+        """The config a manifest records, nulls included, is a valid config
+        file that rebuilds the same config."""
+        recorded = json.loads((pipeline_dir / "manifest.json").read_text())["config"]
+        assert "hmm_seed" not in recorded
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(recorded))
+        built, _ = cli.build_pipeline_config(cli.build_parser().parse_args(["rank", "--config", str(cfg)]))
+        assert built == cli.PipelineConfig(**recorded)
 
     def test_window_start_parsing(self):
         assert parse_window_start(None) is None

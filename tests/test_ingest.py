@@ -23,7 +23,7 @@ from triscope import (
     parse_log,
     preprocess,
 )
-from triscope.ingest import PROV_FALLBACK, PROV_HOUR, PROV_ZERO, user_seed
+from triscope.ingest import PROV_FALLBACK, PROV_HOUR, PROV_ZERO
 
 
 # log lines of a user id and a timestamp that may not be an int64 or a number
@@ -191,16 +191,10 @@ class TestBuildFeatureTensor:
 
     def test_dense_hour_matches_direct_fit(self):
         hd = dense_hourly(seed=3)
-        cfg = HmmConfig(seed=17)
+        cfg = HmmConfig()
         ft = build_feature_tensor(hd, cfg)
         assert ft.provenance[0, 1] == PROV_HOUR
-        direct = baum_welch(
-            hd.deltas[0][1],
-            n_states=2,
-            seed=user_seed(cfg.seed, 0),
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-        )
+        direct = baum_welch(hd.deltas[0][1], n_states=2, tol=cfg.tol, max_iter=cfg.max_iter)
         np.testing.assert_array_equal(ft.tensor[0, :6, 1], extract_features(direct))
 
     def test_sparse_hours_use_window_fallback(self):
@@ -243,8 +237,8 @@ class TestBuildFeatureTensor:
         assert ft.hmm_fits_at_max_iter == 2
 
     def test_deterministic(self):
-        a = build_feature_tensor(dense_hourly(), HmmConfig(seed=5))
-        b = build_feature_tensor(dense_hourly(), HmmConfig(seed=5))
+        a = build_feature_tensor(dense_hourly())
+        b = build_feature_tensor(dense_hourly())
         np.testing.assert_array_equal(a.tensor, b.tensor)
 
     def test_hour_shift_moves_feature_slabs(self):
@@ -254,7 +248,7 @@ class TestBuildFeatureTensor:
         ts = np.unique(ts)
         text = "user_id,timestamp\n" + "".join(f"u,{t}\n" for t in ts)
         shifted = "user_id,timestamp\n" + "".join(f"u,{t + 3600}\n" for t in ts)
-        cfg = HmmConfig(seed=4)
+        cfg = HmmConfig()
         base = build_feature_tensor(
             compute_deltas(log_from(text, window_start=0, window_hours=3)), cfg
         )
@@ -267,6 +261,57 @@ class TestBuildFeatureTensor:
         # HMM features and zeros for the summary block
         assert moved.provenance[0, 0] == PROV_FALLBACK
         assert not moved.tensor[0, 6:, 0].any()
+
+
+HOURS = 3
+# one user's messages, as second offsets into a 3-hour window: up to 40 of
+# them, so some hours get their own HMM fit and others the window fallback
+STAMPS = st.lists(st.integers(0, HOURS * 3600 - 1), min_size=1, max_size=40)
+# ids on both sides of "m" in sort order, so adding users moves m's index
+USERS = st.dictionaries(st.sampled_from(["a", "b", "n", "y", "z"]), STAMPS, min_size=1, max_size=4)
+
+
+def raw_features(users, **window):
+    lines = [f"{u},{t}\n" for u, ts in users.items() for t in ts]
+    return features_of(lines, **window)
+
+
+def features_of(lines, **window):
+    log = log_from("user_id,timestamp\n" + "".join(lines), window_hours=HOURS, **window)
+    return build_feature_tensor(compute_deltas(log))
+
+
+class TestFeatureInvariance:
+    """A user's raw features depend only on that user's messages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(STAMPS, USERS)
+    def test_other_users_do_not_matter(self, mine, others):
+        alone = raw_features({"m": mine}, window_start=0)
+        crowd = raw_features({"m": mine, **others}, window_start=0)
+        u = crowd.user_ids.index("m")
+        np.testing.assert_array_equal(crowd.tensor[u], alone.tensor[0])
+        np.testing.assert_array_equal(crowd.provenance[u], alone.provenance[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(USERS, st.randoms(use_true_random=False))
+    def test_line_order_and_duplicates_do_not_matter(self, users, rnd):
+        lines = [f"{u},{t}\n" for u, ts in users.items() for t in ts]
+        noisy = lines + rnd.sample(lines, rnd.randint(0, len(lines)))
+        rnd.shuffle(noisy)
+        base, got = features_of(lines), features_of(noisy)
+        assert got.user_ids == base.user_ids
+        np.testing.assert_array_equal(got.tensor, base.tensor)
+        np.testing.assert_array_equal(got.provenance, base.provenance)
+
+    @settings(max_examples=40, deadline=None)
+    @given(USERS, st.integers(1, 500_000))
+    def test_whole_hour_shift_does_not_matter(self, users, hours):
+        """With the default window start, which follows the earliest message."""
+        base = raw_features(users)
+        moved = raw_features({u: [t + 3600 * hours for t in ts] for u, ts in users.items()})
+        np.testing.assert_array_equal(moved.tensor, base.tensor)
+        np.testing.assert_array_equal(moved.provenance, base.provenance)
 
 
 class TestPreprocess:
