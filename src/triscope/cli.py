@@ -139,20 +139,42 @@ def _load_config_file(path: str | None) -> dict:
 
 
 # JSON types a config-file value may take, by the base type of its field;
-# window_start also takes an ISO-8601 string, and null passes only where the
-# default is None
-_FILE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# window_start also takes an ISO-8601 string, null passes only where the
+# default is None, and a tuple field takes a list of its item type
+_FILE_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "EventSpec": (dict,)}
+# config-file keys spelled apart from their field
+_FILE_KEYS = {"event_specs": "events"}
 
 
-def _check_file_types(data: dict) -> None:
-    for f in fields(PipelineConfig):
-        if f.name not in data or (data[f.name] is None and f.default is None):
+def _check_file_types(data, cls=PipelineConfig, where="config") -> None:
+    """Check a config-file object against the fields of ``cls``: no
+    unknown key, every value of its field's JSON type, and every field of
+    an event entry given."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{where} must be a JSON object, got {data!r}")
+    keys = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(data) - set(keys)
+    missing = set(keys) - set(data) if cls is EventSpec else set()
+    if unknown or missing:
+        raise InvalidInputError(f"{where}: unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
+    for key, f in keys.items():
+        if key not in data or (data[key] is None and f.default is None):
             continue
-        value = data[f.name]
-        allowed = (int, str) if f.name == "window_start" else _FILE_TYPES[f.type.split(" |")[0]]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            kinds = " or ".join(t.__name__ for t in allowed)
-            raise InvalidInputError(f"config key {f.name!r} must be {kinds}, got {value!r}")
+        base = f.type.split(" |")[0]
+        values = data[key]
+        if base.startswith("tuple["):
+            if not isinstance(values, list):
+                raise InvalidInputError(f"{where} key {key!r} must be a list, got {values!r}")
+            base = base[len("tuple["):-len(", ...]")]
+        else:
+            values = [values]
+        allowed = (int, str) if (cls, key) == (PipelineConfig, "window_start") else _FILE_TYPES[base]
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kinds = " or ".join(t.__name__ for t in allowed)
+                raise InvalidInputError(f"{where} key {key!r} must be {kinds}, got {value!r}")
+            if base == "EventSpec":
+                _check_file_types(value, EventSpec, f"{where} key {key!r} entry")
 
 
 def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict | None]:
@@ -160,11 +182,8 @@ def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dic
     data = _load_config_file(getattr(args, "config", None))
     synth_section = data.pop("synth", None)
 
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     _check_file_types(data)
+    known = {f.name for f in fields(PipelineConfig)}
     cfg = PipelineConfig(**data)
 
     overrides = {}
@@ -189,15 +208,15 @@ def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dic
 
 
 def build_synth_config(args: argparse.Namespace, section: dict | None) -> SynthConfig:
+    _check_file_types({} if section is None else section, SynthConfig, "config 'synth'")
     data = dict(section or {})
     events = data.pop("events", None)
     if events is not None:
         data["event_specs"] = tuple(
-            EventSpec(int(e["start_hour"]), int(e["end_hour"]), float(e["affected_fraction"]))
-            for e in events
+            EventSpec(e["start_hour"], e["end_hour"], float(e["affected_fraction"])) for e in events
         )
     if "persistent_anomalous" in data:
-        data["persistent_anomalous"] = tuple(int(u) for u in data["persistent_anomalous"])
+        data["persistent_anomalous"] = tuple(data["persistent_anomalous"])
 
     if getattr(args, "users", None) is not None:
         data["n_users"] = args.users

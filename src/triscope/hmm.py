@@ -10,6 +10,10 @@ themselves work for any state count.
 State order is canonical when means are non-decreasing; :func:`baum_welch`
 returns canonical models and :func:`extract_features` canonicalizes its
 input, so features never depend on state labels.
+
+Variances never fall below ``VAR_FLOOR_SCALE`` times the sequence's own
+variance, and the SD features carry that floor: ten 1s then ten 1e9s give
+both states variance 2.5e11, so both SD features are 5e5.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ The wire format is UTF-8 CSV with header ``user_id,timestamp`` and one
 message per line (timestamp = integer Unix seconds, treated as UTC). Per
 user, the inter-arrival time between consecutive messages lands in the hour
 bin of the *later* message; a user's first message yields no inter-arrival.
+The inter-arrivals of the whole log stay in one flat array, in the log's
+(user, time) order, with an offset into it at the start of every (user,
+hour) cell (:class:`HourlyDeltas`); an hour's values and a user's whole
+window are slices of it.
 
 Ten features per (user, hour):
 
@@ -96,23 +100,28 @@ class NotificationLog:
 
 @dataclass(frozen=True, eq=False)
 class HourlyDeltas:
-    """Per-user, per-hour inter-arrival sequences plus message counts.
+    """Every user's inter-arrivals in one flat array, plus message counts.
 
-    ``deltas[u][h]`` is the float array of inter-arrivals assigned to hour
-    ``h`` of user ``u``; ``counts[u, h]`` is the number of messages there.
+    ``dt`` holds the inter-arrivals ordered by user, then time; the ones
+    of user ``u`` in hour ``h`` are ``dt[bounds[u, h]:bounds[u, h + 1]]``.
+    ``bounds`` is (users, hours + 1) with ``bounds[0, 0] == 0``,
+    ``bounds[u, -1] == bounds[u + 1, 0]`` and ``bounds[-1, -1] ==
+    dt.size``. ``counts[u, h]`` is the number of messages in that hour.
     """
 
     user_ids: tuple[str, ...]
     window_hours: int
-    deltas: tuple[tuple[np.ndarray, ...], ...]
+    dt: np.ndarray
+    bounds: np.ndarray
     counts: np.ndarray
+
+    def deltas(self, u: int, h: int) -> np.ndarray:
+        """The inter-arrivals of user ``u`` in hour ``h``, in time order."""
+        return self.dt[self.bounds[u, h] : self.bounds[u, h + 1]]
 
     def window_series(self, u: int) -> np.ndarray:
         """All inter-arrivals of one user across the window, in time order."""
-        parts = [d for d in self.deltas[u] if d.size]
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        return self.dt[self.bounds[u, 0] : self.bounds[u, -1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,38 +283,19 @@ def write_log(log: NotificationLog, target) -> None:
 def compute_deltas(log: NotificationLog) -> HourlyDeltas:
     """Split each user's inter-arrival series into hour bins."""
     h = log.window_hours
-    empty = np.empty(0)
-    user_ids: list[str] = []
-    all_deltas: list[tuple[np.ndarray, ...]] = []
-    counts_rows: list[np.ndarray] = []
-
-    n = log.n_records
-    start = 0
-    while start < n:
-        uid = log.users[start]
-        stop = start
-        while stop < n and log.users[stop] == uid:
-            stop += 1
-        ts = log.timestamps[start:stop].astype(np.int64)
-        hours = (ts - log.window_start) // HOUR
-        counts_rows.append(np.bincount(hours, minlength=h).astype(np.int64))
-
-        per_hour: list[np.ndarray] = [empty] * h
-        if ts.size > 1:
-            dt = np.diff(ts).astype(np.float64)
-            dh = hours[1:]
-            # consecutive messages are time-sorted, so dh is non-decreasing
-            bounds = np.searchsorted(dh, np.arange(h + 1))
-            per_hour = [
-                dt[bounds[i] : bounds[i + 1]] if bounds[i + 1] > bounds[i] else empty
-                for i in range(h)
-            ]
-        user_ids.append(str(uid))
-        all_deltas.append(tuple(per_hour))
-        start = stop
-
-    counts = np.vstack(counts_rows) if counts_rows else np.zeros((0, h), dtype=np.int64)
-    return HourlyDeltas(tuple(user_ids), h, tuple(all_deltas), counts)
+    ts = log.timestamps
+    first = np.ones(ts.size, dtype=bool)  # each user's first message
+    first[1:] = log.users[1:] != log.users[:-1]
+    n_users = int(first.sum())
+    # the log is sorted by (user, time), so cells never decrease
+    cell = (np.cumsum(first) - 1) * h + (ts - log.window_start) // HOUR
+    counts = np.bincount(cell, minlength=n_users * h).astype(np.int64).reshape(n_users, h)
+    later = ~first
+    dt = np.diff(ts)[later[1:]].astype(np.float64)
+    bounds = np.searchsorted(cell[later], np.arange(n_users)[:, None] * h + np.arange(h + 1))
+    dt.flags.writeable = False
+    bounds.flags.writeable = False
+    return HourlyDeltas(tuple(str(u) for u in log.users[first]), h, dt, bounds, counts)
 
 
 def hour_summary_features(deltas, message_count: int) -> np.ndarray:
@@ -331,9 +321,8 @@ def _summary_slabs(hourly: HourlyDeltas) -> np.ndarray:
     in time order per cell."""
     n_users, n_hours = hourly.counts.shape
     cells = n_users * n_hours
-    flat = [d for row in hourly.deltas for d in row]
-    sizes = np.array([d.size for d in flat], dtype=np.int64)
-    dt = np.concatenate(flat)
+    sizes = np.diff(hourly.bounds, axis=1).ravel()
+    dt = hourly.dt
     cell = np.repeat(np.arange(cells), sizes)
     n = np.maximum(sizes, 1)
     mean = np.bincount(cell, dt, cells) / n
@@ -362,37 +351,26 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
     x = np.zeros((n_users, 10, n_hours))
     prov = np.full((n_users, n_hours), PROV_ZERO, dtype=np.int8)
 
-    # pass 1: collect every dense hour and the window series of each user
-    # with a sparse hour; hour == -1 marks a window fit
-    seqs: list[np.ndarray] = []
-    cells: list[tuple[int, int]] = []
-    for u in range(n_users):
-        sparse = False
-        for h in range(n_hours):
-            seq = hourly.deltas[u][h]
-            if seq.size >= config.min_obs:
-                seqs.append(seq)
-                cells.append((u, h))
-                prov[u, h] = PROV_HOUR
-            else:
-                sparse = True
-        if sparse:
-            series = hourly.window_series(u)
-            if series.size >= config.min_obs:
-                seqs.append(series)
-                cells.append((u, -1))
-
-    x[:, 6:] = _summary_slabs(hourly)
-
-    # pass 2: fit them all in one batched call
+    # hours with min_obs inter-arrivals get their own fit; each user with a
+    # sparser hour and min_obs inter-arrivals in the window gets a window
+    # fit, whose features fill the sparse hours
+    dense = np.diff(hourly.bounds, axis=1) >= config.min_obs
+    window = hourly.bounds[:, -1] - hourly.bounds[:, 0]
+    fitted = np.flatnonzero(~dense.all(axis=1) & (window >= config.min_obs))
+    us, hs = np.nonzero(dense)
+    seqs = [hourly.deltas(u, h) for u, h in zip(us.tolist(), hs.tolist())]
+    seqs += [hourly.window_series(u) for u in fitted.tolist()]
     models = baum_welch_many(seqs, 2, config.tol, config.max_iter)
-    for (u, h), model in zip(cells, models):
-        if h >= 0:
-            x[u, :6, h] = extract_features(model)
-        else:
-            fallback = prov[u] != PROV_HOUR
-            x[u, :6][:, fallback] = extract_features(model)[:, None]
-            prov[u, fallback] = PROV_FALLBACK
+    feats = np.array([extract_features(m) for m in models]).reshape(-1, 6)
+
+    x[us, :6, hs] = feats[: us.size]
+    prov[dense] = PROV_HOUR
+    fallback = np.zeros_like(dense)
+    fallback[fitted] = ~dense[fitted]
+    fu, fh = np.nonzero(fallback)
+    x[fu, :6, fh] = feats[us.size + np.searchsorted(fitted, fu)]
+    prov[fallback] = PROV_FALLBACK
+    x[:, 6:] = _summary_slabs(hourly)
 
     return FeatureTensor(
         x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov, hmm_fits=len(models),

@@ -130,12 +130,6 @@ def _leading_vectors(unf: np.ndarray, k: int, cached_u: np.ndarray | None = None
     return _fix_signs(u[:, :k].copy())
 
 
-def _project_core(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    out = mode_multiply(x, a.T, 1)
-    out = mode_multiply(out, b.T, 2)
-    return mode_multiply(out, c.T, 3)
-
-
 def hosvd(x: np.ndarray, p: int, q: int, r: int, _svds=None) -> TuckerModel:
     """Truncated higher-order SVD.
 
@@ -152,7 +146,7 @@ def hosvd(x: np.ndarray, p: int, q: int, r: int, _svds=None) -> TuckerModel:
         cached = None if _svds is None else _svds[mode - 1]
         factors.append(_leading_vectors(unfold(x, mode), int(k), cached))
     a, b, c = factors
-    core = _project_core(x, a, b, c)
+    core = mode_multiply(mode_multiply(mode_multiply(x, a.T, 1), b.T, 2), c.T, 3)
     fit = 100.0 * (frobenius_norm(core) ** 2) / xnorm2
     return TuckerModel(core, a, b, c, float(fit))
 
@@ -186,11 +180,12 @@ def hooi(
     for sweep in range(1, max_iter + 1):
         y = mode_multiply(mode_multiply(x, b.T, 2), c.T, 3)
         a = _leading_vectors(unfold(y, 1), int(p))
-        y = mode_multiply(mode_multiply(x, a.T, 1), c.T, 3)
+        xa = mode_multiply(x, a.T, 1)
+        y = mode_multiply(xa, c.T, 3)
         b = _leading_vectors(unfold(y, 2), int(q))
-        y = mode_multiply(mode_multiply(x, a.T, 1), b.T, 2)
+        y = mode_multiply(xa, b.T, 2)
         c = _leading_vectors(unfold(y, 3), int(r))
-        core = _project_core(x, a, b, c)
+        core = mode_multiply(y, c.T, 3)
         if not (np.all(np.isfinite(core)) and np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise NumericalError(f"non-finite values in HOOI sweep {sweep}")
         fit = 100.0 * (frobenius_norm(core) ** 2) / xnorm2

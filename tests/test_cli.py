@@ -326,6 +326,23 @@ class TestFailureModes:
         assert f"config key {next(iter(data))!r}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section", [
+        {"n_users": "5", "window_hours": 24},
+        {"n_users": 5, "events": [{"start_hour": 1, "affected_fraction": 0.5}]},
+        {"n_users": 5, "colour": "red"},
+        [1, 2],
+        {"n_users": 5, "persistent_anomalous": 3},
+        {"n_users": 5, "events": [{"start_hour": 1, "end_hour": 2.0, "affected_fraction": 0.5}]},
+    ])
+    def test_mistyped_synth_section(self, tmp_path, capsys, section):
+        """The synth section goes through the same type checks as the top
+        level, each item of its event list included."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": section}))
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "config 'synth'" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_config_file_plus_flag_override(self, tmp_path):
         out = tmp_path / "o"

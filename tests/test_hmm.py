@@ -18,6 +18,7 @@ from triscope import (
     forward_log_likelihood,
     viterbi,
 )
+from triscope.hmm import VAR_FLOOR_SCALE
 
 
 def gauss_pdf(x, mean, var):
@@ -290,6 +291,18 @@ class TestBaumWelch:
         b = baum_welch(obs)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.trans, b.trans)
+
+    def test_far_regimes_carry_the_relative_variance_floor(self):
+        """Two constant regimes nine decades apart: each state's own spread
+        is 0, so both variances sit exactly on the floor, VAR_FLOOR_SCALE
+        times the variance of the whole sequence (2.5e11 here), and the SD
+        features carry it (5e5)."""
+        obs = np.array([1.0] * 10 + [1e9] * 10)
+        m = baum_welch(obs)
+        floor = VAR_FLOOR_SCALE * obs.var()
+        assert np.array_equal(m.variances, [floor, floor])
+        assert floor == pytest.approx(2.5e11)
+        np.testing.assert_array_equal(extract_features(m)[4:], np.sqrt([floor, floor]))
 
 
 class TestExtractFeatures:

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triscope import (
@@ -113,19 +113,59 @@ class TestParseLog:
         assert log.n_records == 1
 
 
+DELTA_HOURS = 4
+# up to five users, each with 1-12 messages; half of the draws land in the
+# last hour
+LOGS = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.lists(st.one_of(st.integers(0, DELTA_HOURS * 3600 - 1),
+                       st.integers((DELTA_HOURS - 1) * 3600, DELTA_HOURS * 3600 - 1)),
+             min_size=1, max_size=12),
+    max_size=5,
+)
+
+
+def deltas_by_user_loop(log):
+    """:func:`compute_deltas` as a walk over the records, one user at a
+    time: (user ids, per-user tuples of per-hour arrays, counts)."""
+    h = log.window_hours
+    empty = np.empty(0)
+    user_ids, all_deltas, counts_rows = [], [], []
+    n = log.n_records
+    start = 0
+    while start < n:
+        uid = log.users[start]
+        stop = start
+        while stop < n and log.users[stop] == uid:
+            stop += 1
+        ts = log.timestamps[start:stop].astype(np.int64)
+        hours = (ts - log.window_start) // 3600
+        counts_rows.append(np.bincount(hours, minlength=h).astype(np.int64))
+        per_hour = [empty] * h
+        if ts.size > 1:
+            dt = np.diff(ts).astype(np.float64)
+            bounds = np.searchsorted(hours[1:], np.arange(h + 1))
+            per_hour = [dt[bounds[i] : bounds[i + 1]] for i in range(h)]
+        user_ids.append(str(uid))
+        all_deltas.append(tuple(per_hour))
+        start = stop
+    counts = np.vstack(counts_rows) if counts_rows else np.zeros((0, h), dtype=np.int64)
+    return tuple(user_ids), all_deltas, counts
+
+
 class TestComputeDeltas:
     def test_single_message_has_no_deltas(self):
         log = log_from("user_id,timestamp\na,100\n", window_start=0, window_hours=2)
         hd = compute_deltas(log)
-        assert all(d.size == 0 for d in hd.deltas[0])
+        assert all(hd.deltas(0, h).size == 0 for h in range(2))
         assert hd.counts[0].tolist() == [1, 0]
 
     def test_hand_computed_assignment(self):
         """0 -> 100 lands in hour 0; 100 -> 4000 lands in hour 1."""
         log = log_from("user_id,timestamp\na,0\na,100\na,4000\n", window_start=0, window_hours=2)
         hd = compute_deltas(log)
-        assert hd.deltas[0][0].tolist() == [100.0]
-        assert hd.deltas[0][1].tolist() == [3900.0]
+        assert hd.deltas(0, 0).tolist() == [100.0]
+        assert hd.deltas(0, 1).tolist() == [3900.0]
         assert hd.counts[0].tolist() == [2, 1]
 
     def test_users_never_mix(self):
@@ -133,8 +173,8 @@ class TestComputeDeltas:
         log = log_from(text, window_start=0, window_hours=1)
         hd = compute_deltas(log)
         assert hd.user_ids == ("a", "b")
-        assert hd.deltas[0][0].tolist() == [100.0]
-        assert hd.deltas[1][0].tolist() == [10.0]
+        assert hd.deltas(0, 0).tolist() == [100.0]
+        assert hd.deltas(1, 0).tolist() == [10.0]
 
     def test_window_series_matches_diff(self):
         rng = np.random.default_rng(0)
@@ -142,6 +182,28 @@ class TestComputeDeltas:
         text = "user_id,timestamp\n" + "".join(f"u,{t}\n" for t in ts)
         hd = compute_deltas(log_from(text, window_start=0, window_hours=4))
         np.testing.assert_array_equal(hd.window_series(0), np.diff(ts).astype(float))
+
+    @settings(max_examples=100, deadline=None)
+    @given(LOGS)
+    @example({})
+    @example({"a": [7], "b": [0, DELTA_HOURS * 3600 - 1], "c": [DELTA_HOURS * 3600 - 1]})
+    def test_matches_per_user_loop(self, users):
+        """The flat layout against a per-user loop over the log, bit for
+        bit, on logs with no users, single-message users and messages in
+        the last hour."""
+        lines = "".join(f"{u},{t}\n" for u, ts in users.items() for t in ts)
+        log = log_from("user_id,timestamp\n" + lines, window_start=0, window_hours=DELTA_HOURS)
+        hd = compute_deltas(log)
+        user_ids, deltas, counts = deltas_by_user_loop(log)
+        assert hd.user_ids == user_ids
+        assert not (hd.dt.flags.writeable or hd.bounds.flags.writeable)
+        assert hd.counts.dtype == counts.dtype and np.array_equal(hd.counts, counts)
+        for u, uid in enumerate(user_ids):
+            for h in range(DELTA_HOURS):
+                got = hd.deltas(u, h)
+                assert got.dtype == np.float64 and got.tobytes() == deltas[u][h].tobytes()
+            ts = np.unique(users[uid])
+            assert hd.window_series(u).tobytes() == np.diff(ts).astype(np.float64).tobytes()
 
 
 class TestHourSummaryFeatures:
@@ -165,17 +227,16 @@ class TestHourSummaryFeatures:
         np.testing.assert_allclose(out[2], np.log(2.0), rtol=1e-12)
 
 
-def dense_hourly(seed=0, n_hours=4):
-    """One user with a dense hour 1, plus a silent user."""
+def dense_hourly(seed=0):
+    """One user with a dense hour 1 and two values in hour 3, plus a
+    silent user, over 4 hours."""
     rng = np.random.default_rng(seed)
-    empty = np.empty(0)
-    seq = rng.exponential(120.0, size=20)
-    active = tuple([empty, seq, empty, np.array([100.0, 200.0])][:n_hours])
-    silent = tuple([empty] * n_hours)
-    counts = np.zeros((2, n_hours), dtype=np.int64)
+    dt = np.concatenate([rng.exponential(120.0, size=20), [100.0, 200.0]])
+    bounds = np.array([[0, 0, 20, 20, 22], [22, 22, 22, 22, 22]])
+    counts = np.zeros((2, 4), dtype=np.int64)
     counts[0, 1] = 21
     counts[0, 3] = 2
-    return HourlyDeltas(("active", "silent"), n_hours, (active, silent), counts)
+    return HourlyDeltas(("active", "silent"), 4, dt, bounds, counts)
 
 
 class TestBuildFeatureTensor:
@@ -194,7 +255,7 @@ class TestBuildFeatureTensor:
         cfg = HmmConfig()
         ft = build_feature_tensor(hd, cfg)
         assert ft.provenance[0, 1] == PROV_HOUR
-        direct = baum_welch(hd.deltas[0][1], n_states=2, tol=cfg.tol, max_iter=cfg.max_iter)
+        direct = baum_welch(hd.deltas(0, 1), n_states=2, tol=cfg.tol, max_iter=cfg.max_iter)
         np.testing.assert_array_equal(ft.tensor[0, :6, 1], extract_features(direct))
 
     def test_sparse_hours_use_window_fallback(self):
@@ -222,7 +283,7 @@ class TestBuildFeatureTensor:
         hd = compute_deltas(log)
         ft = build_feature_tensor(hd)
         expect = np.array([
-            [hour_summary_features(hd.deltas[u][h], int(hd.counts[u, h])) for h in range(24)]
+            [hour_summary_features(hd.deltas(u, h), int(hd.counts[u, h])) for h in range(24)]
             for u in range(len(hd.user_ids))
         ]).transpose(0, 2, 1)
         assert (hd.counts >= 3).any() and (hd.counts < 2).any()
