@@ -53,7 +53,7 @@ from .tensor import (
     write_matrix_text,
     write_tensor_text,
 )
-from .trajectory import Trajectory, build_trajectories, trajectory_distance
+from .trajectory import Trajectories, build_trajectories, trajectory_distance
 from .tucker import (
     AnovaReport,
     ScreeResult,
@@ -87,7 +87,7 @@ __all__ = [
     "NumericalError",
     "ScreeResult",
     "SynthConfig",
-    "Trajectory",
+    "Trajectories",
     "TriscopeError",
     "TuckerModel",
     "anova_interaction",

@@ -20,6 +20,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .ingest import (
 )
 from .synth import RNG_NAME, EventSpec, GroundTruth, SynthConfig, generate
 from .tensor import read_tensor_text, write_tensor_text
-from .trajectory import Trajectory, build_trajectories
+from .trajectory import Trajectories, build_trajectories
 # ``hooi`` is not called here; pipebench/tracer.py wraps ``cli.hooi``, so the
 # name stays importable from this module
 from .tucker import TuckerModel, anova_interaction, hooi, load_model, save_model, scree_select  # noqa: F401
@@ -177,6 +178,14 @@ def _check_file_types(data, cls=PipelineConfig, where="config") -> None:
                 _check_file_types(value, EventSpec, f"{where} key {key!r} entry")
 
 
+# the least value of each integer setting; min_obs needs two observations
+# per HMM state, and n_components may be None (all components)
+_AT_LEAST = {
+    "window_hours": 1, "min_obs": 4, "hmm_max_iter": 1, "max_p": 1, "max_q": 1, "max_r": 1,
+    "sweep_budget": 1, "tucker_max_iter": 1, "n_components": 1, "min_duration": 1, "gap_hours": 0,
+}
+
+
 def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict | None]:
     """Merge defaults < config file < CLI flags; returns (config, synth section)."""
     data = _load_config_file(getattr(args, "config", None))
@@ -196,14 +205,13 @@ def build_pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dic
         overrides["window_start"] = parse_window_start(ws)
     cfg = replace(cfg, **overrides)
 
-    if cfg.window_hours < 1:
-        raise InvalidInputError("window_hours must be >= 1")
-    if cfg.cutoff <= 0:
-        raise InvalidInputError("cutoff must be positive")
-    if min(cfg.max_p, cfg.max_q, cfg.max_r) < 1:
-        raise InvalidInputError("grid bounds must be >= 1")
-    if cfg.min_obs < 4:
-        raise InvalidInputError("min_obs must be >= 4 (two observations per state)")
+    for name, least in _AT_LEAST.items():
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    for name in ("hmm_tol", "tucker_tol", "cutoff"):
+        if not getattr(cfg, name) > 0:
+            raise InvalidInputError(f"{name} must be positive, got {getattr(cfg, name)}")
     return cfg, synth_section
 
 
@@ -277,40 +285,42 @@ def _read_meta(out_dir: Path, stage: str) -> dict:
     return meta
 
 
-def _write_trajectories(path: Path, id_column: str, trajectories: list[Trajectory]) -> None:
-    q = trajectories[0].n_components
+def _write_trajectories(path: Path, id_column: str, trajectories: Trajectories) -> None:
+    _, hours, q = trajectories.coords.shape
+    rows = trajectories.coords.reshape(-1, q).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{id_column},t," + ",".join(f"c{i + 1}" for i in range(q)) + "\n")
-        for trj in trajectories:
-            for t in range(trj.n_hours):
-                f.write(f"{trj.user_id},{t}," + ",".join(_fr(v) for v in trj.coords[t]) + "\n")
+        for (item, t), row in zip(product(trajectories.ids, range(hours)), rows):
+            f.write(f"{item},{t}," + ",".join(map(repr, row)) + "\n")
 
 
-def _load_trajectories(path: Path) -> list[Trajectory]:
+def _load_trajectories(path: Path) -> Trajectories:
+    """Rows may come in any order; each id needs every hour 0..K-1 exactly
+    once, the same K for every id. Items keep the order in which their ids
+    first appear."""
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     if len(header) < 3 or header[1] != "t" or header[2] != "c1":
         raise InvalidInputError(f"{path} is not a trajectories CSV")
-    order: list[str] = []
-    rows: dict[str, list[tuple[int, list[float]]]] = {}
+    first_seen: dict[str, int] = {}
+    items, hours, values = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(header):
             raise InvalidInputError(f"{path} line {lineno}: expected {len(header)} fields, got {len(parts)}")
-        uid = parts[0]
         try:
-            row = (int(parts[1]), [float(v) for v in parts[2:]])
+            hours.append(int(parts[1]))
+            values.append([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise InvalidInputError(f"{path} line {lineno}: {exc}") from exc
-        if uid not in rows:
-            rows[uid] = []
-            order.append(uid)
-        rows[uid].append(row)
-    out = []
-    for uid in order:
-        pts = sorted(rows[uid])
-        out.append(Trajectory(uid, np.array([c for _, c in pts])))
-    return out
+        items.append(first_seen.setdefault(parts[0], len(first_seen)))
+    n = len(first_seen)
+    k = len(hours) // max(n, 1)
+    order = np.lexsort((hours, items))
+    # sorted by (item, hour), block i of k rows must be item i's hours 0..k-1
+    if n == 0 or n * k != len(hours) or (np.array(hours)[order].reshape(n, k) != np.arange(k)).any():
+        raise InvalidInputError(f"{path}: every id needs the hours 0..K-1 once each, the same K for all")
+    return Trajectories(tuple(first_seen), np.array(values)[order].reshape(n, k, -1))
 
 
 def _load_inputs(stage: str, out: Path) -> tuple:
@@ -434,37 +444,31 @@ def stage_rank(cfg: PipelineConfig, model: TuckerModel, user_ids):
     return ranking
 
 
-def stage_trajectories(cfg: PipelineConfig, ft: FeatureTensor, model: TuckerModel) -> list[Trajectory]:
+def stage_trajectories(cfg: PipelineConfig, ft: FeatureTensor, model: TuckerModel) -> Trajectories:
     out = _out(cfg)
     trajectories = build_trajectories(ft, model)
     _write_trajectories(out / "trajectories.csv", "user_id", trajectories)
     return trajectories
 
 
-def stage_cluster(cfg: PipelineConfig, trajectories: list[Trajectory]) -> list[Trajectory]:
+def stage_cluster(cfg: PipelineConfig, trajectories: Trajectories) -> Trajectories:
     out = _out(cfg)
-    dendrogram = ward_cluster(trajectories)
-    labels = cut(dendrogram, cfg.cutoff)
+    labels = cut(ward_cluster(trajectories), cfg.cutoff)
     with open(out / "clusters.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("user_id,cluster\n")
-        for trj, lab in zip(trajectories, labels):
-            f.write(f"{trj.user_id},{int(lab)}\n")
-
-    centers = []
-    for lab in range(int(labels.max()) + 1):
-        members = [t for t, l in zip(trajectories, labels) if l == lab]
-        centers.append(center_trajectory(members, label=str(lab)))
+        f.writelines(f"{uid},{lab}\n" for uid, lab in zip(trajectories.ids, labels.tolist()))
+    centers = center_trajectory(trajectories, labels)
     _write_trajectories(out / "centers.csv", "cluster", centers)
     return centers
 
 
-def stage_events(cfg: PipelineConfig, centers: list[Trajectory]):
+def stage_events(cfg: PipelineConfig, centers: Trajectories):
     out = _out(cfg)
     windows = []
-    for ctr in centers:
-        scan = detect_events(ctr, k_mad=cfg.k_mad, min_duration=cfg.min_duration, gap_hours=cfg.gap_hours)
+    for cid, coords in zip(centers.ids, centers.coords):
+        scan = detect_events(coords, cid, k_mad=cfg.k_mad, min_duration=cfg.min_duration, gap_hours=cfg.gap_hours)
         if scan.degenerate:
-            print(f"events: cluster {ctr.user_id} center is constant; skipped", file=sys.stderr)
+            print(f"events: cluster {cid} center is constant; skipped", file=sys.stderr)
         windows.extend(scan.windows)
     windows.sort(key=lambda w: (int(w.cluster_id), w.start_hour))
     with open(out / "events.csv", "w", encoding="utf-8", newline="\n") as f:

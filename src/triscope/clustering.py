@@ -21,13 +21,12 @@ shorter than ``min_duration`` are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import backends
 from .errors import InvalidInputError
-from .trajectory import Trajectory
+from .trajectory import Trajectories
 
 __all__ = [
     "Dendrogram",
@@ -101,40 +100,24 @@ class EventScan:
     degenerate: bool = False
 
 
-def _as_points(items) -> np.ndarray:
-    if isinstance(items, np.ndarray):
-        pts = np.asarray(items, dtype=np.float64)
-        if pts.ndim != 2:
-            raise InvalidInputError(f"points must be 2-D, got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise InvalidInputError("points must be finite")
-        return np.ascontiguousarray(pts)
-    rows = []
-    shape = None
-    for it in items:
-        if not isinstance(it, Trajectory):
-            raise InvalidInputError("expected trajectories or a 2-D array")
-        if shape is None:
-            shape = it.coords.shape
-        elif it.coords.shape != shape:
-            raise InvalidInputError("all trajectories must have equal shapes")
-        rows.append(it.flattened())
-    if not rows:
-        raise InvalidInputError("need at least 2 items to cluster")
-    return np.ascontiguousarray(np.vstack(rows))
-
-
 def ward_cluster(items) -> Dendrogram:
-    """Agglomerate trajectories (or row vectors) under Ward's criterion.
+    """Agglomerate trajectories (or the rows of a 2-D array) under Ward's
+    criterion; each trajectory is one point of hours * components values.
 
     Ties on the merge objective pick the lexicographically smallest
     ``(left, right)`` node-id pair, so the merge sequence is deterministic.
     """
-    pts = _as_points(items)
+    if isinstance(items, Trajectories):
+        pts = items.coords.reshape(len(items.ids), -1)
+    else:
+        pts = np.ascontiguousarray(items, dtype=np.float64)
+        if pts.ndim != 2:
+            raise InvalidInputError(f"points must be 2-D, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("points must be finite")
     if pts.shape[0] < 2:
         raise InvalidInputError(f"need at least 2 items to cluster, got {pts.shape[0]}")
-    merges = backends.ward_linkage(pts)
-    return Dendrogram(merges, pts.shape[0])
+    return Dendrogram(backends.ward_linkage(pts), pts.shape[0])
 
 
 def cut(dendrogram: Dendrogram, cutoff: float) -> np.ndarray:
@@ -148,55 +131,48 @@ def cut(dendrogram: Dendrogram, cutoff: float) -> np.ndarray:
     if cutoff <= 0:
         raise InvalidInputError(f"cutoff must be positive, got {cutoff}")
     n = dendrogram.n_leaves
+    merges = dendrogram.merges
     hmax = float(dendrogram.heights[-1]) if n > 1 else 0.0
-    parent = np.arange(2 * n - 1)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in range(n - 1):
-        h = dendrogram.merges[s, 2]
-        norm = (h / hmax) if hmax > 0 else 0.0
-        if norm > cutoff:
-            break  # heights are monotone: everything above is undone
-        left, right = int(dendrogram.merges[s, 0]), int(dendrogram.merges[s, 1])
-        new = n + s
-        parent[find(left)] = new
-        parent[find(right)] = new
-
-    roots = np.array([find(i) for i in range(n)])
-    clusters: dict[int, list[int]] = {}
-    for leaf, root in enumerate(roots):
-        clusters.setdefault(int(root), []).append(leaf)
-    ordered = sorted(clusters.values(), key=lambda leaves: (-len(leaves), leaves[0]))
-    labels = np.empty(n, dtype=np.int64)
-    for label, leaves in enumerate(ordered):
-        labels[leaves] = label
-    return labels
+    norm = dendrogram.heights / hmax if hmax > 0 else np.zeros(n - 1)
+    # heights are monotone: the merges kept are those before the first one above
+    above = np.flatnonzero(norm > cutoff)
+    kept = int(above[0]) if above.size else n - 1
+    # node n + s is made by merge s, so a reverse pass meets every parent
+    # before its children and each node takes its parent's root
+    root = np.arange(n + kept)
+    for s in range(kept - 1, -1, -1):
+        root[int(merges[s, 0])] = root[int(merges[s, 1])] = root[n + s]
+    _, smallest_leaf, cluster, size = np.unique(
+        root[:n], return_index=True, return_inverse=True, return_counts=True
+    )
+    label = np.empty(size.size, dtype=np.int64)
+    label[np.lexsort((smallest_leaf, -size))] = np.arange(size.size)
+    return label[cluster]
 
 
-def center_trajectory(members: Sequence[Trajectory], label: str = "center") -> Trajectory:
-    """Pointwise mean trajectory of a non-empty cluster."""
-    if len(members) == 0:
-        raise InvalidInputError("cluster must be non-empty")
-    shape = members[0].coords.shape
-    for m in members[1:]:
-        if m.coords.shape != shape:
-            raise InvalidInputError("all member trajectories must have equal shapes")
-    stack = np.stack([m.coords for m in members])
-    return Trajectory(label, stack.mean(axis=0))
+def center_trajectory(trajectories: Trajectories, labels) -> Trajectories:
+    """Pointwise mean trajectory of every cluster: center ``k`` (id
+    ``str(k)``) is the mean of the items labelled ``k``, for ``k`` from 0 to
+    the largest label; each of these clusters must be non-empty."""
+    labels = np.asarray(labels)
+    if labels.shape != (len(trajectories.ids),) or not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInputError(f"need one integer label per item, got {labels.shape} {labels.dtype}")
+    if labels.min() < 0 or not np.bincount(labels).all():
+        raise InvalidInputError("cluster labels must be 0..k-1, each with members")
+    k = int(labels.max()) + 1
+    coords = np.stack([trajectories.coords[labels == c].mean(axis=0) for c in range(k)])
+    return Trajectories(tuple(str(c) for c in range(k)), coords)
 
 
 def detect_events(
-    center: Trajectory,
+    coords: np.ndarray,
+    cluster_id: str = "center",
     k_mad: float = 3.0,
     min_duration: int = 5,
     gap_hours: int = 2,
 ) -> EventScan:
-    """Flag sustained deviations of a center trajectory.
+    """Flag sustained deviations of a center trajectory, the (hours,
+    components) array ``coords``; its windows carry ``cluster_id``.
 
     Per-hour deviation is the Euclidean distance from the coordinate-wise
     median point. Hours with deviation above ``median + k_mad * MAD`` are
@@ -213,7 +189,11 @@ def detect_events(
     if gap_hours < 0:
         raise InvalidInputError(f"gap_hours must be >= 0, got {gap_hours}")
 
-    coords = center.coords
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[0] < 1 or not np.isfinite(coords).all():
+        raise InvalidInputError(
+            f"center must be a finite (hours, components) array, got {coords.shape}"
+        )
     midpoint = np.median(coords, axis=0)
     dev = np.linalg.norm(coords - midpoint[None, :], axis=1)
     if float(dev.max()) == float(dev.min()):
@@ -236,5 +216,5 @@ def detect_events(
         if end - start + 1 < min_duration:
             continue
         severity = float(((dev[start : end + 1] - med) / scale).max())
-        windows.append(EventWindow(start, end, severity, center.user_id))
+        windows.append(EventWindow(start, end, severity, cluster_id))
     return EventScan(windows=tuple(windows), degenerate=False)

@@ -18,6 +18,7 @@ last one fastest):
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -189,21 +190,33 @@ def write_tensor_text(t: np.ndarray, target) -> None:
             f.close()
 
 
+def _read_block(tokens: list[str], pos: int, ndim: int, what: str) -> tuple[np.ndarray, int]:
+    """Read the block ``what`` at text token ``pos``: ``ndim`` positive
+    extents, then their product of values in C order. Returns the values
+    shaped by the extents and the position after the block."""
+    try:
+        dims = tuple(int(x) for x in tokens[pos : pos + ndim])
+        end = pos + ndim + math.prod(dims)
+        values = [float(x) for x in tokens[pos + ndim : end]]
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed {what}: {exc}") from exc
+    if len(dims) != ndim or min(dims) < 1 or len(values) != end - pos - ndim:
+        raise InvalidInputError(f"{what} is not {ndim} positive extents and their values")
+    return np.array(values, dtype=np.float64).reshape(dims), end
+
+
 def read_tensor_text(source) -> np.ndarray:
+    """Read what :func:`write_tensor_text` wrote (any whitespace between tokens)."""
     f, owned = _open_for(source, "r")
     try:
         tokens = f.read().split()
     finally:
         if owned:
             f.close()
-    if len(tokens) < 3:
-        raise InvalidInputError("tensor text must start with three extents")
-    try:
-        dims = tuple(int(x) for x in tokens[:3])
-        values = np.array([float(x) for x in tokens[3:]], dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed tensor text: {exc}") from exc
-    return tensor3(values, dims)  # type: ignore[arg-type]
+    t, end = _read_block(tokens, 0, 3, "tensor text")
+    if end != len(tokens):
+        raise InvalidInputError(f"tensor text has {len(tokens) - end} values beyond its extents {t.shape}")
+    return tensor3(t)
 
 
 def write_matrix_text(m: np.ndarray, target) -> None:

@@ -16,37 +16,31 @@ from .errors import InvalidInputError
 from .ingest import FeatureTensor
 from .tucker import TuckerModel
 
-__all__ = ["Trajectory", "build_trajectories", "trajectory_distance"]
+__all__ = ["Trajectories", "build_trajectories", "trajectory_distance"]
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One point per hour; ``coords[t]`` is the Q-vector at hour ``t``."""
+class Trajectories:
+    """Equal-length trajectories of ``len(ids)`` items (users or cluster
+    centers; at least one item, hour and component): ``coords[i, t]`` is
+    item ``ids[i]``'s Q-vector at hour ``t``."""
 
-    user_id: str
-    coords: np.ndarray  # (K, Q)
+    ids: tuple[str, ...]
+    coords: np.ndarray  # (items, K, Q)
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise InvalidInputError(f"coords must be (hours, components), got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        c = np.ascontiguousarray(self.coords, dtype=np.float64)
+        if c.ndim != 3 or c.shape[0] != len(self.ids) or min(c.shape) < 1:
+            raise InvalidInputError(
+                f"coords must be ({len(self.ids)} items, hours, components), got {c.shape}"
+            )
+        if not np.isfinite(c).all():
             raise InvalidInputError("trajectory coordinates must be finite")
+        object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "coords", c)
 
-    @property
-    def n_hours(self) -> int:
-        return self.coords.shape[0]
 
-    @property
-    def n_components(self) -> int:
-        return self.coords.shape[1]
-
-    def flattened(self) -> np.ndarray:
-        return self.coords.ravel()
-
-
-def build_trajectories(ft: FeatureTensor, model: TuckerModel) -> list[Trajectory]:
+def build_trajectories(ft: FeatureTensor, model: TuckerModel) -> Trajectories:
     """Project every user's hourly feature vectors onto the feature factors.
 
     ``ft`` must be the preprocessed tensor the model was fit to; its feature
@@ -59,14 +53,13 @@ def build_trajectories(ft: FeatureTensor, model: TuckerModel) -> list[Trajectory
             f"tensor has {x.shape[1]} features but factor expects {b.shape[0]}"
         )
     # coords[u, t, :] = X[u, :, t] . B
-    coords = np.einsum("ujt,jq->utq", x, b)
-    return [Trajectory(uid, coords[u]) for u, uid in enumerate(ft.user_ids)]
+    return Trajectories(ft.user_ids, np.einsum("ujt,jq->utq", x, b))
 
 
-def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
-    """Euclidean distance between two trajectories flattened to vectors."""
-    if t1.coords.shape != t2.coords.shape:
-        raise InvalidInputError(
-            f"trajectory shapes differ: {t1.coords.shape} vs {t2.coords.shape}"
-        )
-    return float(np.linalg.norm(t1.flattened() - t2.flattened()))
+def trajectory_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance between two (hours, components) trajectories
+    flattened to vectors."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise InvalidInputError(f"trajectory shapes differ or are not 2-D: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm((a - b).ravel()))

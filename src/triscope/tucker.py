@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 from .tensor import (
     _open_for,
+    _read_block,
     frobenius_norm,
     matrix,
     mode_multiply,
@@ -409,37 +410,24 @@ def save_model(model: TuckerModel, target) -> None:
 def load_model(source) -> TuckerModel:
     f, own = _open_for(source, "r")
     try:
-        lines = f.read().splitlines()
+        tokens = f.read().split()
     finally:
         if own:
             f.close()
-    if not lines or lines[0] != _MODEL_HEADER:
+    if tokens[:4] != _MODEL_HEADER.split():
         raise InvalidInputError("not a triscope tucker model file")
-
-    def _values(pos: int, label: str, ndim: int) -> tuple[np.ndarray, tuple[int, ...], int]:
-        """The block ``label`` at line ``pos + 1``: its extents line, then
-        one value per line; returns the values, extents and next line."""
-        if lines[pos] != label:
-            raise InvalidInputError(f"expected block {label!r} at line {pos + 1}")
-        dims = tuple(int(v) for v in lines[pos + 1].split())
-        n = int(np.prod(dims)) if len(dims) == ndim else -1
-        block = lines[pos + 2 : pos + 2 + n]
-        if n < 1 or len(block) != n:
-            raise InvalidInputError(f"block {label!r} at line {pos + 1} is malformed or truncated")
-        return np.array([float(v) for v in block]), dims, pos + 2 + n
-
     try:
-        p, q, r = (int(v) for v in lines[1].split())
-        fit = float(lines[2].split()[1])
-        values, dims, pos = _values(3, "core", 3)
-        core = tensor3(values, dims)  # type: ignore[arg-type]
-        facs = []
-        for label in ("factor_a", "factor_b", "factor_c"):
-            values, shape, pos = _values(pos, label, 2)
-            facs.append(matrix(values, shape))  # type: ignore[arg-type]
+        p, q, r = (int(v) for v in tokens[4:7])
+        fit = float(tokens[8])  # tokens[7] is the label "fit"
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"malformed model file: {exc}") from exc
-    model = TuckerModel(core, facs[0], facs[1], facs[2], fit)
+    blocks, pos = [], 9
+    for label, ndim in (("core", 3), ("factor_a", 2), ("factor_b", 2), ("factor_c", 2)):
+        if tokens[pos : pos + 1] != [label]:
+            raise InvalidInputError(f"model file: block {label!r} missing or out of place")
+        block, pos = _read_block(tokens, pos + 1, ndim, f"model block {label!r}")
+        blocks.append(block)
+    model = TuckerModel(tensor3(blocks[0]), *(matrix(b) for b in blocks[1:]), fit)
     if model.factor_a.shape[1] != p or model.factor_b.shape[1] != q or model.factor_c.shape[1] != r:
         raise InvalidInputError("model dims disagree with factor shapes")
     return model

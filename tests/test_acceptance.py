@@ -249,7 +249,7 @@ def test_trajectory_oracle():
         for k in range(5):
             for q in range(2):
                 expected = sum(x[u, j, k] * b[j, q] for j in range(4))
-                assert abs(trajectories[u].coords[k, q] - expected) < 1e-12
+                assert abs(trajectories.coords[u, k, q] - expected) < 1e-12
 
 
 def test_ground_truth_matches_planted_config(big_run):

@@ -2,9 +2,11 @@
 
 import io
 import json
+import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from triscope import hooi, load_model, read_tensor_text, save_model, scree_select
@@ -306,6 +308,28 @@ class TestFailureModes:
             main(["pipeline", "--hmm-seed", "0"])
         assert exc.value.code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name, flags, data", [
+        ("min_duration", ["--min-duration", "0"], {}),
+        ("gap_hours", ["--gap-hours", "-1"], {}),
+        ("sweep_budget", ["--sweep-budget", "0"], {}),
+        ("n_components", ["--n-components", "0"], {}),
+        ("hmm_tol", [], {"hmm_tol": 0}),
+        ("hmm_max_iter", [], {"hmm_max_iter": 0}),
+        ("tucker_tol", [], {"tucker_tol": 0}),
+        ("tucker_max_iter", [], {"tucker_max_iter": 0}),
+    ])
+    def test_out_of_range_setting_exits_before_any_stage(
+        self, pipeline_dir, tmp_path, capsys, name, flags, data
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        args = ["pipeline", "--log", str(pipeline_dir / "log.csv"), *PIPE_ARGS,
+                "--config", str(cfg), *flags, "--out-dir", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert not (out / "tensor.txt").exists()
+        assert name in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, data", [
         ("pipeline", {"window_hours": "96"}),
         ("cluster", {"cutoff": "0.5"}),
@@ -341,6 +365,63 @@ class TestFailureModes:
         cfg.write_text(json.dumps({"synth": section}))
         assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "config 'synth'" in capsys.readouterr().err
+
+
+def copy_with_rows(src: Path, dst_dir: Path, edit) -> Path:
+    """Copy a trajectories-format CSV into ``dst_dir`` with its data rows
+    passed through ``edit``."""
+    header, *rows = src.read_text().splitlines()
+    dst_dir.mkdir(exist_ok=True)
+    dst = dst_dir / src.name
+    dst.write_text("\n".join([header, *edit(rows)]) + "\n")
+    return dst
+
+
+class TestTrajectoryFiles:
+    def test_shuffled_rows_load_and_cluster_the_same(self, pipeline_dir, tmp_path):
+        """Items keep the order of their ids' first rows; every other row
+        may go anywhere."""
+        def shuffle(rows):
+            first = [r for r in rows if r.split(",")[1] == "0"]
+            rest = [r for r in rows if r.split(",")[1] != "0"]
+            return first + random.Random(0).sample(rest, len(rest))
+
+        shuffled = copy_with_rows(pipeline_dir / "trajectories.csv", tmp_path, shuffle)
+        assert shuffled.read_bytes() != (pipeline_dir / "trajectories.csv").read_bytes()
+        got = cli._load_trajectories(shuffled)
+        expected = cli._load_trajectories(pipeline_dir / "trajectories.csv")
+        assert got.ids == expected.ids
+        assert np.array_equal(got.coords, expected.coords)
+        assert main(["cluster", "--out-dir", str(tmp_path)]) == EXIT_OK
+        for name in ("clusters.csv", "centers.csv"):
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name, command", [("trajectories.csv", "cluster"), ("centers.csv", "events")])
+    @pytest.mark.parametrize("damage", ["missing", "duplicated"])
+    def test_hours_not_0_to_k_fail_naming_the_file(self, pipeline_dir, tmp_path, capsys, name, command, damage):
+        def edit(rows):
+            # row 1 holds the first id's hour 1
+            if damage == "missing":
+                return rows[:1] + rows[2:]
+            return rows[:1] + [rows[0]] + rows[2:]
+
+        copy_with_rows(pipeline_dir / name, tmp_path, edit)
+        assert main([command, "--out-dir", str(tmp_path)]) == EXIT_CLUSTERING
+        assert f"{name}: every id needs the hours 0..K-1" in capsys.readouterr().err
+
+    def test_unequal_lengths_fail(self, pipeline_dir, tmp_path, capsys):
+        """Dropping one id's last hour leaves every id's hours contiguous
+        from 0 but of unequal counts."""
+        last = (pipeline_dir / "trajectories.csv").read_text().splitlines()[-1].split(",")
+        copy_with_rows(pipeline_dir / "trajectories.csv", tmp_path, lambda rows: rows[:-1])
+        assert last[1] == "47"
+        assert main(["cluster", "--out-dir", str(tmp_path)]) == EXIT_CLUSTERING
+        assert "trajectories.csv: every id needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, id_column", [("trajectories.csv", "user_id"), ("centers.csv", "cluster")])
+    def test_write_load_write_keeps_bytes(self, pipeline_dir, tmp_path, name, id_column):
+        cli._write_trajectories(tmp_path / name, id_column, cli._load_trajectories(pipeline_dir / name))
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes()
 
 
 class TestConfigHandling:

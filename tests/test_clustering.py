@@ -1,15 +1,18 @@
 """Ward clustering against a from-scratch SS oracle and a full-scan
-agglomeration; cuts, centers, events."""
+agglomeration; cuts against a union-find oracle; centers, events."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscope import (
+    Dendrogram,
     InvalidInputError,
     backends,
-    Trajectory,
+    Trajectories,
     center_trajectory,
     cut,
     detect_events,
@@ -146,7 +149,7 @@ class TestWardCluster:
         assert np.all(np.diff(d.merges[:, 2]) >= -1e-12)
 
     def test_accepts_trajectories(self):
-        trjs = [Trajectory(f"u{i}", np.full((4, 2), float(i))) for i in range(3)]
+        trjs = Trajectories(("u0", "u1", "u2"), np.stack([np.full((4, 2), float(i)) for i in range(3)]))
         d = ward_cluster(trjs)
         assert d.n_leaves == 3
 
@@ -220,7 +223,67 @@ def blob_points(rng):
     )
 
 
+def union_find_cut(dendrogram, cutoff):
+    """Labels by union-find: apply merges in order until the first whose
+    normalized height is above the cutoff, then number the clusters by
+    (-size, smallest leaf)."""
+    n = dendrogram.n_leaves
+    hmax = float(dendrogram.heights[-1]) if n > 1 else 0.0
+    parent = np.arange(2 * n - 1)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for s in range(n - 1):
+        h = dendrogram.merges[s, 2]
+        if ((h / hmax) if hmax > 0 else 0.0) > cutoff:
+            break
+        left, right = int(dendrogram.merges[s, 0]), int(dendrogram.merges[s, 1])
+        parent[find(left)] = n + s
+        parent[find(right)] = n + s
+
+    clusters = {}
+    for leaf in range(n):
+        clusters.setdefault(int(find(leaf)), []).append(leaf)
+    ordered = sorted(clusters.values(), key=lambda leaves: (-len(leaves), leaves[0]))
+    labels = np.empty(n, dtype=np.int64)
+    for label, leaves in enumerate(ordered):
+        labels[leaves] = label
+    return labels
+
+
+@st.composite
+def dendrograms(draw):
+    """Random merge orders over up to 30 leaves with integer heights from a
+    small range, so equal heights, zero heights and an all-zero tree occur."""
+    n = draw(st.integers(1, 30))
+    heights = sorted(draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1)))
+    active, size, merges = list(range(n)), {i: 1 for i in range(n)}, []
+    for s, h in enumerate(heights):
+        a = active.pop(draw(st.integers(0, len(active) - 1)))
+        b = active.pop(draw(st.integers(0, len(active) - 1)))
+        size[n + s] = size[a] + size[b]
+        merges.append((min(a, b), max(a, b), h, size[n + s]))
+        active.append(n + s)
+    return Dendrogram(np.array(merges, dtype=np.float64).reshape(n - 1, 4), n)
+
+
 class TestCut:
+    @settings(max_examples=300, deadline=None)
+    @given(dendrograms(), st.data())
+    def test_labels_equal_union_find(self, d, data):
+        """Cutoffs at a merge's own normalized height, as well as between
+        heights, give the oracle's labels exactly."""
+        hmax = float(d.heights[-1]) if d.n_leaves > 1 else 0.0
+        at_heights = [float(h) / hmax for h in d.heights if h > 0]
+        cutoff = data.draw(
+            st.floats(1e-3, 1.5) | st.sampled_from(at_heights) if at_heights else st.floats(1e-3, 1.5)
+        )
+        assert np.array_equal(cut(d, cutoff), union_find_cut(d, cutoff))
+
     def test_cutoff_above_max_single_cluster(self):
         rng = np.random.default_rng(2)
         d = ward_cluster(rng.normal(size=(8, 2)))
@@ -263,46 +326,47 @@ class TestCut:
 
 class TestCenterTrajectory:
     def test_singleton_is_member(self):
-        t = Trajectory("a", np.arange(8.0).reshape(4, 2))
-        c = center_trajectory([t], label="c0")
+        t = Trajectories(("a",), np.arange(8.0).reshape(1, 4, 2))
+        c = center_trajectory(t, [0])
         np.testing.assert_array_equal(c.coords, t.coords)
-        assert c.user_id == "c0"
+        assert c.ids == ("0",)
 
     def test_mirror_pair_cancels(self):
         rng = np.random.default_rng(7)
         coords = rng.normal(size=(5, 2))
-        c = center_trajectory([Trajectory("a", coords), Trajectory("b", -coords)])
+        c = center_trajectory(Trajectories(("a", "b"), np.stack([coords, -coords])), [0, 0])
         np.testing.assert_allclose(c.coords, 0.0, atol=1e-15)
 
     def test_five_member_average(self):
         rng = np.random.default_rng(8)
-        members = [Trajectory(str(i), rng.normal(size=(6, 3))) for i in range(5)]
-        c = center_trajectory(members)
-        expected = np.stack([m.coords for m in members]).mean(axis=0)
-        np.testing.assert_allclose(c.coords, expected, atol=1e-12)
+        members = Trajectories(tuple("abcde"), rng.normal(size=(5, 6, 3)))
+        c = center_trajectory(members, np.zeros(5, dtype=int))
+        expected = members.coords.mean(axis=0)
+        np.testing.assert_allclose(c.coords[0], expected, atol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)
-        members = [Trajectory(str(i), rng.normal(size=(3, 2))) for i in range(4)]
-        a = center_trajectory(members)
-        b = center_trajectory(members[::-1])
+        members = Trajectories(tuple("abcd"), rng.normal(size=(4, 3, 2)))
+        a = center_trajectory(members, [0, 0, 0, 0])
+        b = center_trajectory(Trajectories(members.ids[::-1], members.coords[::-1]), [0, 0, 0, 0])
         np.testing.assert_array_equal(a.coords, b.coords)
 
     def test_empty_rejected(self):
+        """Every label below the largest must have members."""
         with pytest.raises(InvalidInputError):
-            center_trajectory([])
+            center_trajectory(Trajectories(("a",), np.zeros((1, 3, 2))), [1])
 
 
 class TestDetectEvents:
     def test_constant_center_degenerate(self):
-        scan = detect_events(Trajectory("c", np.full((50, 2), 1.5)))
+        scan = detect_events(np.full((50, 2), 1.5), "c")
         assert scan.degenerate
         assert scan.windows == ()
 
     def test_planted_window_recovered_exactly(self):
         coords = np.zeros((720, 2))
         coords[100:141] = (10.0, 0.0)
-        scan = detect_events(Trajectory("c", coords))
+        scan = detect_events(coords, "c")
         assert not scan.degenerate
         assert len(scan.windows) == 1
         w = scan.windows[0]
@@ -313,14 +377,14 @@ class TestDetectEvents:
         coords = np.zeros((200, 1))
         coords[50:60] = 5.0
         coords[61:70] = 5.0  # hour 60 is quiet
-        scan = detect_events(Trajectory("c", coords))
+        scan = detect_events(coords, "c")
         assert len(scan.windows) == 1
         assert (scan.windows[0].start_hour, scan.windows[0].end_hour) == (50, 69)
 
     def test_short_blips_dropped(self):
         coords = np.zeros((200, 1))
         coords[50:52] = 5.0
-        scan = detect_events(Trajectory("c", coords), min_duration=5)
+        scan = detect_events(coords, "c", min_duration=5)
         assert scan.windows == ()
 
     def test_windows_disjoint_and_sorted(self):
@@ -328,13 +392,13 @@ class TestDetectEvents:
         coords = rng.normal(scale=0.05, size=(400, 2))
         coords[80:120] += 8.0
         coords[200:260] += 9.0
-        scan = detect_events(Trajectory("c", coords))
+        scan = detect_events(coords, "c")
         assert len(scan.windows) >= 2
         for w1, w2 in zip(scan.windows, scan.windows[1:]):
             assert w1.end_hour < w2.start_hour
 
     def test_invalid_controls(self):
-        t = Trajectory("c", np.zeros((10, 1)))
+        t = np.zeros((10, 1))
         with pytest.raises(InvalidInputError):
             detect_events(t, min_duration=0)
         with pytest.raises(InvalidInputError):

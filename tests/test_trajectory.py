@@ -6,7 +6,7 @@ import pytest
 from triscope import (
     FeatureTensor,
     InvalidInputError,
-    Trajectory,
+    Trajectories,
     build_trajectories,
     tensor3,
     trajectory_distance,
@@ -30,17 +30,17 @@ class TestBuildTrajectories:
     def test_zero_tensor_stays_at_origin(self):
         x = np.zeros((3, 4, 5))
         trjs = build_trajectories(feature_tensor(x), model_with_factor_b(np.ones((4, 2)), 3, 5))
-        assert len(trjs) == 3
-        for t in trjs:
-            assert t.coords.shape == (5, 2)
-            assert not t.coords.any()
+        assert len(trjs.ids) == 3
+        for coords in trjs.coords:
+            assert coords.shape == (5, 2)
+            assert not coords.any()
 
     def test_identity_projection_returns_features(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 4, 6))
         trjs = build_trajectories(feature_tensor(x), model_with_factor_b(np.eye(4), 2, 6))
-        for u, t in enumerate(trjs):
-            np.testing.assert_array_equal(t.coords, x[u].T)
+        for u, coords in enumerate(trjs.coords):
+            np.testing.assert_array_equal(coords, x[u].T)
 
     def test_matches_dot_product_loop(self):
         rng = np.random.default_rng(1)
@@ -51,7 +51,7 @@ class TestBuildTrajectories:
             for k in range(5):
                 for q in range(2):
                     expected = sum(x[u, j, k] * b[j, q] for j in range(4))
-                    np.testing.assert_allclose(trjs[u].coords[k, q], expected, atol=1e-12)
+                    np.testing.assert_allclose(trjs.coords[u, k, q], expected, atol=1e-12)
 
     def test_hour_average_is_projection_of_mean_profile(self):
         """Averaging trajectory points over hours equals projecting the
@@ -62,7 +62,7 @@ class TestBuildTrajectories:
         trjs = build_trajectories(feature_tensor(x), model_with_factor_b(b, 4, 8))
         for u in range(4):
             np.testing.assert_allclose(
-                trjs[u].coords.mean(axis=0), x[u].mean(axis=1) @ b, atol=1e-10
+                trjs.coords[u].mean(axis=0), x[u].mean(axis=1) @ b, atol=1e-10
             )
 
     def test_equivariant_under_rotation_of_components(self):
@@ -72,8 +72,8 @@ class TestBuildTrajectories:
         rot = np.linalg.qr(rng.normal(size=(2, 2)))[0]
         base = build_trajectories(feature_tensor(x), model_with_factor_b(b, 2, 7))
         rotated = build_trajectories(feature_tensor(x), model_with_factor_b(b @ rot, 2, 7))
-        for t0, t1 in zip(base, rotated):
-            np.testing.assert_allclose(t1.coords, t0.coords @ rot, atol=1e-12)
+        for t0, t1 in zip(base.coords, rotated.coords):
+            np.testing.assert_allclose(t1, t0 @ rot, atol=1e-12)
 
     def test_feature_count_mismatch(self):
         x = np.zeros((2, 3, 4))
@@ -81,16 +81,29 @@ class TestBuildTrajectories:
             build_trajectories(feature_tensor(x), model_with_factor_b(np.ones((5, 2)), 2, 4))
 
 
+class TestTrajectories:
+    @pytest.mark.parametrize("ids, coords", [
+        (("a", "b"), np.array([[[0.0]], [[np.nan]]])),
+        (("a", "b"), np.array([[[0.0]], [[np.inf]]])),
+        (("a",), np.zeros((2, 3, 1))),
+        (("a",), np.zeros((1, 0, 1))),
+        (("a",), np.zeros((3, 1))),
+    ])
+    def test_rejects_non_finite_or_misshaped_coords(self, ids, coords):
+        with pytest.raises(InvalidInputError):
+            Trajectories(ids, coords)
+
+
 class TestTrajectoryDistance:
     def test_identical_is_zero(self):
-        t = Trajectory("a", np.arange(10.0).reshape(5, 2))
+        t = np.arange(10.0).reshape(5, 2)
         assert trajectory_distance(t, t) == 0.0
 
     def test_single_hour_3_4_5(self):
         a = np.zeros((4, 2))
         b = np.zeros((4, 2))
         b[2] = (3.0, 4.0)
-        assert trajectory_distance(Trajectory("a", a), Trajectory("b", b)) == 5.0
+        assert trajectory_distance(a, b) == 5.0
 
     def test_matches_flattened_norm(self):
         rng = np.random.default_rng(4)
@@ -98,13 +111,13 @@ class TestTrajectoryDistance:
         c2 = rng.normal(size=(6, 3))
         expected = np.linalg.norm((c1 - c2).ravel())
         np.testing.assert_allclose(
-            trajectory_distance(Trajectory("a", c1), Trajectory("b", c2)), expected, atol=1e-12
+            trajectory_distance(c1, c2), expected, atol=1e-12
         )
 
     def test_metric_properties(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a, b, c = (Trajectory(str(i), rng.normal(size=(4, 2))) for i in range(3))
+            a, b, c = (rng.normal(size=(4, 2)) for _ in range(3))
             dab = trajectory_distance(a, b)
             dba = trajectory_distance(b, a)
             assert dab == dba
@@ -113,12 +126,10 @@ class TestTrajectoryDistance:
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            trajectory_distance(
-                Trajectory("a", np.zeros((3, 2))), Trajectory("b", np.zeros((4, 2)))
-            )
+            trajectory_distance(np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_tensor3_roundtrip_compatible(self):
         # trajectories built from a validated tensor carry plain finite floats
         x = tensor3(np.ones((2, 3, 4)))
         trjs = build_trajectories(feature_tensor(np.asarray(x)), model_with_factor_b(np.ones((3, 1)), 2, 4))
-        assert np.isfinite(trjs[0].coords).all()
+        assert np.isfinite(trjs.coords[0]).all()
