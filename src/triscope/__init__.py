@@ -20,6 +20,7 @@ from .clustering import (
 )
 from .errors import DegenerateInputError, InvalidInputError, NumericalError, TriscopeError
 from .hmm import (
+    HmmFits,
     HmmModel,
     baum_welch,
     baum_welch_many,
@@ -80,6 +81,7 @@ __all__ = [
     "FeatureTensor",
     "GroundTruth",
     "HmmConfig",
+    "HmmFits",
     "HmmModel",
     "HourlyDeltas",
     "InvalidInputError",

@@ -325,21 +325,35 @@ def _load_trajectories(path: Path) -> Trajectories:
 
 def _load_inputs(stage: str, out: Path) -> tuple:
     """Read a stage's inputs back from the files earlier stages left in
-    ``out``; ``pipeline`` hands them over in memory instead."""
+    ``out``; ``pipeline`` hands them over in memory instead. A malformed
+    file fails naming itself."""
+
+    def read(reader, name: str):  # these readers take streams too, so their errors name no file
+        path = _need(out / name, stage)
+        try:
+            return reader(path)
+        except TriscopeError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
     if stage == "decompose":
-        return (read_tensor_text(_need(out / "tensor.txt", stage)),)
+        return (read(read_tensor_text, "tensor.txt"),)
     if stage == "rank":
-        model = load_model(_need(out / "model.txt", stage))
+        model = read(load_model, "model.txt")
         return model, _read_meta(out, stage)["user_ids"]
     if stage == "trajectories":
-        x = read_tensor_text(_need(out / "tensor.txt", stage))
-        model = load_model(_need(out / "model.txt", stage))
+        x = read(read_tensor_text, "tensor.txt")
+        model = read(load_model, "model.txt")
         meta = _read_meta(out, stage)
         return FeatureTensor(x, tuple(meta["user_ids"]), tuple(meta["feature_names"])), model
     if stage == "cluster":
         return (_load_trajectories(_need(out / "trajectories.csv", stage)),)
     if stage == "events":
-        return (_load_trajectories(_need(out / "centers.csv", stage)),)
+        path = _need(out / "centers.csv", stage)
+        centers = _load_trajectories(path)
+        bad = [cid for cid in centers.ids if not cid.isdecimal()]
+        if bad:
+            raise InvalidInputError(f"{path}: cluster id {bad[0]!r} is not a non-negative integer")
+        return (centers,)
     return ()
 
 

@@ -1,15 +1,14 @@
 """Gaussian-emission hidden Markov models on inter-arrival series.
 
-Covers the three classic problems on a single observation sequence:
-likelihood via the scaled forward recursion, decoding via log-space Viterbi,
-and parameter estimation via Baum-Welch, which :func:`baum_welch_many` runs
-on many sequences in one batched call. All three run on the numpy kernels
-of :mod:`triscope.backends`. The pipeline fixes two states; the routines
-themselves work for any state count.
+Likelihood via the scaled forward recursion and decoding via log-space
+Viterbi, for an :class:`HmmModel` with any number of states, and two-state
+Baum-Welch fits: :func:`baum_welch_many` fits many sequences in one batched
+call, start-up included, and returns them stacked as :class:`HmmFits`. All
+run on the numpy kernels of :mod:`triscope.backends`.
 
-State order is canonical when means are non-decreasing; :func:`baum_welch`
-returns canonical models and :func:`extract_features` canonicalizes its
-input, so features never depend on state labels.
+State order is canonical when the means are non-decreasing (the variance
+breaking ties); fits come back canonical and :func:`extract_features`
+canonicalizes its input, so features never depend on state labels.
 
 Variances never fall below ``VAR_FLOOR_SCALE`` times the sequence's own
 variance, and the SD features carry that floor: ten 1s then ten 1e9s give
@@ -23,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backends
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 
 __all__ = [
     "HmmModel",
+    "HmmFits",
     "forward_log_likelihood",
     "viterbi",
     "baum_welch",
@@ -92,28 +92,37 @@ class HmmModel:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_states(self) -> int:
-        return self.init.shape[0]
 
-    @property
-    def is_canonical(self) -> bool:
-        return bool(np.all(np.diff(self.means) >= 0))
+@dataclass(frozen=True, eq=False)
+class HmmFits:
+    """Canonical two-state Baum-Welch fits of ``F`` sequences, stacked.
 
-    def canonicalize(self) -> "HmmModel":
-        """Relabel states so means are non-decreasing (variance breaks ties)."""
-        order = np.lexsort((self.variances, self.means))
-        if np.array_equal(order, np.arange(self.n_states)):
-            return self
-        return HmmModel(
-            trans=self.trans[np.ix_(order, order)],
-            init=self.init[order],
-            means=self.means[order],
-            variances=self.variances[order],
-            degenerate=self.degenerate,
-            loglik_history=self.loglik_history,
-            converged=self.converged,
-        )
+    ``trans`` is (F, 2, 2) and ``init``, ``means`` and ``variances`` are
+    (F, 2). ``degenerate`` (F,) marks constant sequences and ``converged``
+    (F,) is False for a fit that stopped at ``max_iter``. ``histories[k]``
+    holds fit ``k``'s log-likelihoods, one per evaluated parameter set.
+    ``fits[k]`` is fit ``k`` as an :class:`HmmModel`, and iterating gives
+    them all in order.
+    """
+
+    trans: np.ndarray
+    init: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    degenerate: np.ndarray
+    converged: np.ndarray
+    histories: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.histories)
+
+    def __getitem__(self, k: int) -> HmmModel:
+        return HmmModel(self.trans[k], self.init[k], self.means[k], self.variances[k],
+                        bool(self.degenerate[k]), self.histories[k], bool(self.converged[k]))
+
+    def features(self) -> np.ndarray:
+        """(F, 6): the :func:`extract_features` row of every fit."""
+        return _features(self.trans, self.means, self.variances)
 
 
 def _as_obs(obs) -> np.ndarray:
@@ -140,120 +149,124 @@ def viterbi(model: HmmModel, obs) -> np.ndarray:
     return backends.viterbi_kernel(o, log_trans, log_init, model.means, model.variances)
 
 
-def _initial_params(obs: np.ndarray, n_states: int, var_floor: float):
-    """Deterministic start: quantile-split means and per-bucket variances
-    (k-means style), sticky transitions, uniform start.
+def _segment_moments(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Mean and variance of each segment ``values[starts[k]:][:sizes[k]]``
+    (0 if empty), bit for bit those of ``np.mean`` and ``np.var`` on the
+    segment alone: numpy reduces each row of a C-contiguous matrix with the
+    pairwise sum of a 1-D array, so segments of one size go in one matrix.
+    (``np.bincount`` and ``np.add.reduceat`` sum in order instead.)"""
+    mean, var = np.zeros(sizes.size), np.zeros(sizes.size)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        block = values[starts[rows, None] + np.arange(size)]
+        mean[rows] = block.mean(axis=1)
+        var[rows] = block.var(axis=1)
+    return mean, var
 
-    Bucket variances rather than the pooled variance: with both states
-    initialized to the global spread, far-separated regimes leave the
-    responsibilities nearly uniform and EM crawls along a saddle for
-    hundreds of iterations before splitting the states. With two states a
-    non-constant sequence always gets two distinct means: values up to the
-    median go to state 0, the rest to state 1, or state 1 takes the 0.75
-    quantile (the maximum) when none remain. So the start is never
-    symmetric and needs no random perturbation.
+
+def _start(obs: list[np.ndarray], lengths: np.ndarray):
+    """Start parameters of all sequences, their variance floors and
+    whether each is constant (min == max; both states then sit on the
+    constant with the floor variance).
+
+    Otherwise values up to the median (``np.quantile``'s linear rule) go to
+    state 0, the rest to state 1, which is empty only when the median is
+    the maximum and then starts there. Each state starts from its bucket's
+    mean and variance, the whole variance for one value: with both states
+    at the global spread, far-apart regimes leave EM crawling along a
+    saddle for hundreds of iterations. Transitions start sticky and the
+    start uniform, so the states differ without a random perturbation.
     """
-    n = n_states
-    edges = np.quantile(obs, np.arange(1, n) / n)
-    bucket = np.searchsorted(edges, obs, side="left")
-    global_var = max(float(obs.var()), var_floor)
-    means = np.empty(n)
-    variances = np.empty(n)
-    for k in range(n):
-        sel = obs[bucket == k]
-        means[k] = sel.mean() if sel.size else float(np.quantile(obs, (k + 0.5) / n))
-        variances[k] = max(float(sel.var()), var_floor) if sel.size > 1 else global_var
-    trans = np.full((n, n), 0.1 / (n - 1) if n > 1 else 0.0)
-    np.fill_diagonal(trans, 0.9 if n > 1 else 1.0)
-    init = np.full(n, 1.0 / n)
-    return trans, init, means, variances
+    count = lengths.size
+    flat = np.concatenate(obs) if obs else np.empty(0)
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(count), lengths)
+    ranked = flat[np.lexsort((flat, seg))]
+    lo, hi = ranked[starts], ranked[starts + lengths - 1]
+    mid = starts + (lengths - 1) // 2
+    a, b = ranked[mid], ranked[mid + 1]
+    median = np.where(lengths % 2 == 1, a, b - (b - a) * 0.5)
+    upper = flat > median[seg]
+    n1 = np.bincount(seg, upper, count).astype(np.int64)
+    # rows: each whole sequence, then its values up to the median and the
+    # rest, these two in time order after the stable sort
+    sizes = np.stack([lengths, lengths - n1, n1])
+    firsts = np.stack([starts, starts, starts + lengths - n1]) + [[0], [flat.size], [flat.size]]
+    values = np.append(flat, flat[np.lexsort((upper, seg))])
+    mean, var = (m.reshape(3, count) for m in _segment_moments(values, firsts.ravel(), sizes.ravel()))
+    floor = VAR_FLOOR_SCALE * np.maximum(var[0], 1e-12)
+    means = np.where(sizes[1:] > 0, mean[1:], hi).T
+    variances = np.where(sizes[1:] > 1, np.maximum(var[1:], floor), np.maximum(var[0], floor)).T
+    trans = np.tile([[0.9, 0.1], [0.1, 0.9]], (count, 1, 1))
+    constant = lo == hi
+    trans[constant] = 0.5
+    means[constant] = flat[starts[constant], None]
+    variances[constant] = floor[constant, None]
+    return trans, np.full((count, 2), 0.5), means, variances, floor, constant
 
 
-def baum_welch(
-    obs,
-    n_states: int = 2,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> HmmModel:
-    """Fit an HMM to one observation sequence by EM.
+def _canonical(trans, init, means, variances):
+    """Swap the states of every stacked two-state parameter set whose
+    means (then variances) decrease."""
+    m, v = means, variances
+    s = ((m[:, 1] < m[:, 0]) | ((m[:, 1] == m[:, 0]) & (v[:, 1] < v[:, 0])))[:, None]
+    return (np.where(s[:, :, None], trans[:, ::-1, ::-1], trans), np.where(s, init[:, ::-1], init),
+            np.where(s, means[:, ::-1], means), np.where(s, variances[:, ::-1], variances))
 
-    The fit is a function of ``obs`` and the arguments alone. The
-    log-likelihood is non-decreasing across iterations and the loop stops
-    once it improves by less than ``tol`` (or at ``max_iter``). A constant
-    sequence cannot support estimation: the returned model then collapses
-    both states onto the constant with floored variance and sets
-    ``degenerate``.
+
+def _features(trans, means, variances) -> np.ndarray:
+    return np.column_stack([trans[:, 0, 0], trans[:, 1, 1], means, np.sqrt(variances)])
+
+
+def baum_welch(obs, tol: float = 1e-6, max_iter: int = 200) -> HmmModel:
+    """Fit a two-state HMM to one observation sequence by EM, as a
+    function of ``obs`` and the arguments alone. The log-likelihood never
+    decreases, and EM stops once it gains less than ``tol`` (or at
+    ``max_iter``). A constant sequence cannot support estimation: both
+    states then sit on the constant with floored variance, ``degenerate``.
     """
-    return baum_welch_many([obs], n_states, tol, max_iter)[0]
+    return baum_welch_many([obs], tol, max_iter)[0]
 
 
-def baum_welch_many(
-    sequences,
-    n_states: int = 2,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> list[HmmModel]:
-    """:func:`baum_welch` on each of several sequences.
+def baum_welch_many(sequences, tol: float = 1e-6, max_iter: int = 200) -> HmmFits:
+    """:func:`baum_welch` on each of several sequences, stacked.
 
-    All non-constant sequences go to the batched EM kernel in one call, and
-    element ``k`` equals ``baum_welch(sequences[k], n_states, tol,
-    max_iter)`` bit for bit, whatever the other sequences are.
+    The start-up runs on all sequences at once and every non-constant one
+    goes to the batched EM kernel in one call; fit ``k`` equals
+    ``baum_welch(sequences[k], tol, max_iter)`` bit for bit, whatever the
+    other sequences are.
     """
-    if n_states < 1:
-        raise InvalidInputError(f"n_states must be >= 1, got {n_states}")
     if tol <= 0 or max_iter < 1:
         raise InvalidInputError("tol must be > 0 and max_iter >= 1")
     obs = [_as_obs(s) for s in sequences]
-
-    models: list[HmmModel | None] = [None] * len(obs)
-    fit: list[int] = []
-    starts = []
-    for k, o in enumerate(obs):
-        if o.shape[0] < 2 * n_states:
-            raise InvalidInputError(
-                f"need at least {2 * n_states} observations for {n_states} states, got {o.shape[0]}"
-            )
-        var_floor = VAR_FLOOR_SCALE * max(float(o.var()), 1e-12)
-        if np.all(o == o[0]):
-            n = n_states
-            trans = np.full((n, n), 1.0 / n)
-            init = np.full(n, 1.0 / n)
-            means = np.full(n, float(o[0]))
-            variances = np.full(n, var_floor)
-            ll = backends.forward_loglik(o, trans, init, means, variances)
-            models[k] = HmmModel(trans, init, means, variances, degenerate=True,
-                                 loglik_history=np.array([ll]))
-        else:
-            fit.append(k)
-            starts.append((*_initial_params(o, n_states, var_floor), var_floor))
-
-    if fit:
-        trans, init, means, variances, floors = (np.array(p) for p in zip(*starts))
-        trans, init, means, variances, hists = backends.baum_welch_batch(
-            [obs[k] for k in fit], trans, init, means, variances, floors, float(tol), int(max_iter)
-        )
-        for pos, k in enumerate(fit):
-            model = HmmModel(trans[pos], init[pos], means[pos], variances[pos],
-                             degenerate=False, loglik_history=hists[pos],
-                             converged=len(hists[pos]) <= max_iter)
-            models[k] = model.canonicalize()
-    return models
+    lengths = np.array([o.size for o in obs], dtype=np.int64)
+    if (lengths < 4).any():
+        raise InvalidInputError(f"need at least 4 observations for 2 states, got {lengths.min()}")
+    trans, init, means, variances, floor, constant = _start(obs, lengths)
+    hists = [None] * len(obs)
+    fit = np.flatnonzero(~constant)
+    *params, fit_hists = backends.baum_welch_batch(
+        [obs[k] for k in fit], trans[fit], init[fit], means[fit], variances[fit],
+        floor[fit], float(tol), int(max_iter),
+    )
+    trans[fit], init[fit], means[fit], variances[fit] = params
+    for k, h in zip(fit.tolist(), fit_hists):
+        hists[k] = h
+    for k in np.flatnonzero(constant).tolist():
+        hists[k] = np.array([backends.forward_loglik(obs[k], trans[k], init[k], means[k], variances[k])])
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+        raise NumericalError("Baum-Welch produced non-finite emission parameters")
+    converged = np.array([h.size <= max_iter for h in hists], dtype=bool)
+    return HmmFits(*_canonical(trans, init, means, variances), constant, converged, tuple(hists))
 
 
 def extract_features(model: HmmModel) -> np.ndarray:
     """Six descriptors of a two-state model, independent of state labels:
     both self-transition probabilities, both state means, both state
     standard deviations."""
-    if model.n_states != 2:
-        raise InvalidInputError(f"feature extraction expects 2 states, got {model.n_states}")
-    m = model.canonicalize()
-    return np.array(
-        [
-            m.trans[0, 0],
-            m.trans[1, 1],
-            m.means[0],
-            m.means[1],
-            np.sqrt(m.variances[0]),
-            np.sqrt(m.variances[1]),
-        ]
+    if model.init.size != 2:
+        raise InvalidInputError(f"feature extraction expects 2 states, got {model.init.size}")
+    trans, _, means, variances = _canonical(
+        model.trans[None], model.init[None], model.means[None], model.variances[None]
     )
+    return _features(trans, means, variances)[0]

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .hmm import baum_welch_many, extract_features
+from .hmm import baum_welch_many
 
 __all__ = [
     "FEATURE_NAMES",
@@ -360,8 +360,8 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
     us, hs = np.nonzero(dense)
     seqs = [hourly.deltas(u, h) for u, h in zip(us.tolist(), hs.tolist())]
     seqs += [hourly.window_series(u) for u in fitted.tolist()]
-    models = baum_welch_many(seqs, 2, config.tol, config.max_iter)
-    feats = np.array([extract_features(m) for m in models]).reshape(-1, 6)
+    fits = baum_welch_many(seqs, config.tol, config.max_iter)
+    feats = fits.features()
 
     x[us, :6, hs] = feats[: us.size]
     prov[dense] = PROV_HOUR
@@ -373,8 +373,8 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
     x[:, 6:] = _summary_slabs(hourly)
 
     return FeatureTensor(
-        x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov, hmm_fits=len(models),
-        hmm_fits_at_max_iter=sum(not m.converged for m in models),
+        x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov, hmm_fits=len(fits),
+        hmm_fits_at_max_iter=int((~fits.converged).sum()),
     )
 
 

@@ -418,9 +418,11 @@ def load_model(source) -> TuckerModel:
         raise InvalidInputError("not a triscope tucker model file")
     try:
         p, q, r = (int(v) for v in tokens[4:7])
-        fit = float(tokens[8])  # tokens[7] is the label "fit"
+        fit = float(tokens[8])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"malformed model file: {exc}") from exc
+    if tokens[7] != "fit":
+        raise InvalidInputError(f"model file: label 'fit' missing, got {tokens[7]!r}")
     blocks, pos = [], 9
     for label, ndim in (("core", 3), ("factor_a", 2), ("factor_b", 2), ("factor_c", 2)):
         if tokens[pos : pos + 1] != [label]:

@@ -367,6 +367,47 @@ class TestFailureModes:
         assert "config 'synth'" in capsys.readouterr().err
 
 
+class TestDamagedIntermediates:
+    """A damaged intermediate fails its single-stage command with the
+    stage's exit code and a message that names the file."""
+
+    @staticmethod
+    def copy_edited(pipeline_dir: Path, dst: Path, name: str, edit) -> None:
+        for other in ("tensor.txt", "tensor_meta.json", "model.txt"):
+            (dst / other).write_bytes((pipeline_dir / other).read_bytes())
+        lines = (pipeline_dir / name).read_text().splitlines()
+        (dst / name).write_text("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("rank", "model.txt"), ("trajectories", "model.txt"),
+         ("trajectories", "tensor.txt"), ("decompose", "tensor.txt")],
+    )
+    def test_non_number_names_the_file(self, pipeline_dir, tmp_path, capsys, command, name):
+        def edit(lines):
+            return lines[:8] + ["nope"] + lines[9:]
+
+        self.copy_edited(pipeline_dir, tmp_path, name, edit)
+        assert main([command, "--out-dir", str(tmp_path)]) == EXIT_DECOMPOSITION
+        assert f"{tmp_path / name}: malformed" in capsys.readouterr().err
+
+    def test_fit_label_is_checked(self, pipeline_dir, tmp_path, capsys):
+        def edit(lines):
+            assert lines[2].startswith("fit ")
+            return lines[:2] + ["x" + lines[2][3:]] + lines[3:]
+
+        self.copy_edited(pipeline_dir, tmp_path, "model.txt", edit)
+        assert main(["rank", "--out-dir", str(tmp_path)]) == EXIT_DECOMPOSITION
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'model.txt'}: model file: label 'fit' missing, got 'x'" in err
+
+    def test_non_integer_cluster_id_fails_at_events(self, pipeline_dir, tmp_path, capsys):
+        copy_with_rows(pipeline_dir / "centers.csv", tmp_path,
+                       lambda rows: [re.sub(r"^0,", "a,", r) for r in rows])
+        assert main(["events", "--out-dir", str(tmp_path)]) == EXIT_CLUSTERING
+        assert "centers.csv: cluster id 'a' is not a non-negative integer" in capsys.readouterr().err
+
+
 def copy_with_rows(src: Path, dst_dir: Path, edit) -> Path:
     """Copy a trajectories-format CSV into ``dst_dir`` with its data rows
     passed through ``edit``."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triscope import (
+    HmmFits,
     HmmModel,
     InvalidInputError,
     backends,
@@ -18,7 +19,7 @@ from triscope import (
     forward_log_likelihood,
     viterbi,
 )
-from triscope.hmm import VAR_FLOOR_SCALE
+from triscope.hmm import VAR_FLOOR_SCALE, _start
 
 
 def gauss_pdf(x, mean, var):
@@ -31,7 +32,7 @@ def gauss_log_pdf(x, mean, var):
 
 def enumerate_likelihood(model, obs):
     """Sum of path probabilities over every state sequence."""
-    n = model.n_states
+    n = model.init.size
     total = 0.0
     for path in itertools.product(range(n), repeat=len(obs)):
         p = model.init[path[0]] * gauss_pdf(obs[0], model.means[path[0]], model.variances[path[0]])
@@ -55,7 +56,7 @@ def path_log_prob(model, obs, path):
 def best_path_log_prob(model, obs):
     return max(
         path_log_prob(model, obs, path)
-        for path in itertools.product(range(model.n_states), repeat=len(obs))
+        for path in itertools.product(range(model.init.size), repeat=len(obs))
     )
 
 
@@ -205,12 +206,12 @@ class TestBaumWelch:
         m = baum_welch(obs)
         np.testing.assert_allclose(m.trans.sum(axis=1), [1.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(m.init.sum(), 1.0, atol=1e-9)
-        assert m.is_canonical
+        assert m.means[0] <= m.means[1]
         assert np.all(m.variances > 0)
 
     def test_too_short_sequence_rejected(self):
         with pytest.raises(InvalidInputError):
-            baum_welch(np.array([1.0, 2.0, 3.0]), n_states=2)
+            baum_welch(np.array([1.0, 2.0, 3.0]))
 
     def test_fit_independent_of_batch_companions(self):
         """A sequence fitted in one batch with longer and shorter companions
@@ -305,6 +306,116 @@ class TestBaumWelch:
         np.testing.assert_array_equal(extract_features(m)[4:], np.sqrt([floor, floor]))
 
 
+def _initial_params(obs):
+    """The start of one sequence, worked out alone: the oracle for the
+    batched start-up. Returns (trans, init, means, variances, var_floor,
+    constant). A constant sequence puts both states on the constant with
+    the floor variance. Otherwise values up to the median go to state 0 and
+    the rest to state 1, each state taking its bucket's mean and variance
+    (the whole sequence's variance for a single value); an empty state 1
+    takes the 0.75 quantile."""
+    var_floor = VAR_FLOOR_SCALE * max(float(obs.var()), 1e-12)
+    if np.all(obs == obs[0]):
+        return (np.full((2, 2), 0.5), np.full(2, 0.5), np.full(2, float(obs[0])),
+                np.full(2, var_floor), var_floor, True)
+    edges = np.quantile(obs, [0.5])
+    bucket = np.searchsorted(edges, obs, side="left")
+    global_var = max(float(obs.var()), var_floor)
+    means = np.empty(2)
+    variances = np.empty(2)
+    for k in range(2):
+        sel = obs[bucket == k]
+        means[k] = sel.mean() if sel.size else float(np.quantile(obs, (k + 0.5) / 2))
+        variances[k] = max(float(sel.var()), var_floor) if sel.size > 1 else global_var
+    return np.array([[0.9, 0.1], [0.1, 0.9]]), np.full(2, 0.5), means, variances, var_floor, False
+
+
+def edge_case_series(kind, n, rng):
+    """Heavy tails, ties at the median, or more than half the values at
+    the maximum."""
+    if kind == "pareto":
+        return rng.pareto(0.3, n)
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 6.0, n)
+    if kind == "cauchy2":
+        return rng.standard_cauchy(n) ** 2
+    if kind == "small-int":
+        return rng.integers(0, 4, n).astype(np.float64)
+    obs = rng.exponential(60.0, n)
+    obs[rng.random(n) < 0.6] = obs.max()
+    return obs
+
+
+class TestBatchedStart:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["pareto", "lognormal", "cauchy2", "small-int", "top-heavy", "constant"]),
+                st.integers(4, 300),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_sequence_start(self, specs, seed):
+        """The start-up of a batch gives each sequence the parameters its
+        start alone gives, bit for bit."""
+        rng = np.random.default_rng(seed)
+        seqs = [np.full(n, 7.0) if kind == "constant" else edge_case_series(kind, n, rng)
+                for kind, n in specs]
+        got = _start(seqs, np.array([len(o) for o in seqs]))
+        for k, obs in enumerate(seqs):
+            for name, want, have in zip(("trans", "init", "means", "variances", "floor", "constant"),
+                                        _initial_params(obs), got):
+                np.testing.assert_array_equal(have[k], want, err_msg=f"{name} of sequence {k}")
+
+    def test_even_length_median_is_read_as_np_quantile_reads_it(self):
+        """The two middle values sum past the float range, so a midpoint
+        taken as (a + b) / 2 would be inf and leave state 1 empty; the
+        median b - (b - a) / 2 is 1e308 and state 1 holds both 1.7e308s,
+        whose mean then overflows."""
+        obs = np.array([0.0, 0.0, 0.0, 1e308, 1e308, 1e308, 1.7e308, 1.7e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _start([obs], np.array([obs.size]))
+            want = _initial_params(obs)
+        assert want[2][1] == np.inf
+        for have, value in zip(got, want):
+            np.testing.assert_array_equal(have[0], value)
+
+    def test_batch_members_equal_single_fits(self):
+        """Every member of a batch, a constant sequence among them, is the
+        single fit of its sequence, bit for bit."""
+        rng = np.random.default_rng(12)
+        seqs = [edge_case_series(kind, n, rng)
+                for kind, n in (("pareto", 40), ("small-int", 9), ("top-heavy", 120), ("lognormal", 300))]
+        seqs.insert(2, np.full(30, 2.5))
+        fits = baum_welch_many(seqs)
+        assert isinstance(fits, HmmFits) and len(fits) == len(seqs)
+        assert fits.degenerate.tolist() == [False, False, True, False, False]
+        for k, obs in enumerate(seqs):
+            alone = baum_welch(obs)
+            for name in ("trans", "init", "means", "variances", "loglik_history", "degenerate", "converged"):
+                np.testing.assert_array_equal(getattr(fits[k], name), getattr(alone, name), err_msg=name)
+
+    def test_features_match_extract_features_row_by_row(self):
+        rng = np.random.default_rng(13)
+        seqs = [edge_case_series(kind, n, rng)
+                for kind, n in (("cauchy2", 50), ("small-int", 8), ("top-heavy", 64), ("pareto", 200))]
+        seqs.append(np.full(6, 1.0))
+        fits = baum_welch_many(seqs)
+        feats = fits.features()
+        assert feats.shape == (len(seqs), 6)
+        for k in range(len(seqs)):
+            np.testing.assert_array_equal(feats[k], extract_features(fits[k]))
+
+    def test_empty_batch(self):
+        fits = baum_welch_many([])
+        assert len(fits) == 0
+        assert fits.features().shape == (0, 6)
+
+
 class TestExtractFeatures:
     def test_identity_example(self):
         m = HmmModel(
@@ -329,6 +440,15 @@ class TestExtractFeatures:
             variances=[0.25, 4.0],
         )
         np.testing.assert_allclose(extract_features(m), extract_features(swapped))
+
+    def test_equal_means_order_states_by_variance(self):
+        m = HmmModel(
+            trans=[[0.8, 0.2], [0.4, 0.6]],
+            init=[0.3, 0.7],
+            means=[2.0, 2.0],
+            variances=[4.0, 0.25],
+        )
+        np.testing.assert_array_equal(extract_features(m), [0.6, 0.8, 2.0, 2.0, 0.5, 2.0])
 
     def test_wrong_state_count(self):
         m = HmmModel(trans=[[1.0]], init=[1.0], means=[0.0], variances=[1.0])

@@ -255,7 +255,7 @@ class TestBuildFeatureTensor:
         cfg = HmmConfig()
         ft = build_feature_tensor(hd, cfg)
         assert ft.provenance[0, 1] == PROV_HOUR
-        direct = baum_welch(hd.deltas(0, 1), n_states=2, tol=cfg.tol, max_iter=cfg.max_iter)
+        direct = baum_welch(hd.deltas(0, 1), tol=cfg.tol, max_iter=cfg.max_iter)
         np.testing.assert_array_equal(ft.tensor[0, :6, 1], extract_features(direct))
 
     def test_sparse_hours_use_window_fallback(self):
