@@ -73,6 +73,15 @@ def cases(rng):
         ("baum_welch B=100 T~300", rng.integers(250, 351, size=100).tolist()),
     ):
         yield name, backends.baum_welch_batch, batch_args(rng, lengths)
+    # shaped like the pipeline benchmark's reference log, in one call: hour
+    # fits, whole-window fits and three long planted windows (its own
+    # generator, so the cases below keep their inputs)
+    mixed = np.random.default_rng(1)
+    lengths = np.concatenate(
+        [mixed.integers(6, 21, size=460), mixed.integers(150, 291, size=97),
+         mixed.integers(950, 1051, size=3)]
+    ).tolist()
+    yield "baum_welch B=560 mixed", backends.baum_welch_batch, batch_args(mixed, lengths)
     # n=400 d=144 is the trajectory shape of the many-users workload
     for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
         yield f"ward n={n} d={dim}", backends.ward_linkage, (rng.normal(size=(n, dim)),)

@@ -8,11 +8,15 @@ The two runtime-dominant inner loops of the toolkit live here:
 
 The HMM kernels have one implementation each, in vectorized numpy.
 Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
-fits many sequences in one call: it vectorizes each time step across the
-batch, and runs long sequences as a chunked two-level scan (see
-``_chunk_starts``). Its fits are pinned against a scalar-loop reference in
-``tests/test_backends.py``, and ``benchmarks/bench_backends.py`` times the
-kernels.
+fits many sequences in one call and one EM loop per batch of at most
+``_BATCH_CELLS`` chunk cells. The sequences sit unpadded in a ragged layout
+of 16-step chunks (see ``_Layout``), and each time step's arithmetic is
+done across every chunk at once. Long sequences run as a chunked two-level
+scan (see ``_chunk_starts``), and each sum over time is one
+``np.bincount`` that adds in time order. The fits are pinned against a
+scalar-loop reference and, bit for bit, against the padded engine this one
+replaced, in ``tests/test_backends.py``; ``benchmarks/bench_backends.py``
+times the kernels.
 
 Ward has one implementation, :func:`ward_linkage`, in numpy: each node
 caches its nearest neighbour, so a merge costs O(n) plus the rows it
@@ -67,16 +71,14 @@ def viterbi_kernel(obs, log_trans, log_init, means, variances):
     return path
 
 
-# time steps x sequences per padded batch; bounds the engine's working set
-_BATCH_CELLS = 1 << 21
-# a sequence joins a length bucket while the bucket's longest member is at
-# most this many times longer, so padding is under half of each batch
-_BUCKET_SPAN = 2
-# steps per chunk of the blocked forward-backward scan (see _chunk_starts)
+# chunk cells per EM batch, the sum of 16 * ceil(L / 16) over its sequences
+# filled longest first; bounds the engine's working set
+_BATCH_CELLS = 1 << 15
+# steps per chunk of the ragged layout and of the blocked scan (see _Layout)
 _CHUNK = 16
-# a sequence of at most this many steps runs the plain per-step recursion,
-# one chunk of its own length: on wide batches, up to four chunks save no
-# time, because the transfer products do more arithmetic per step
+# a sequence of at most this many steps runs the plain per-step recursion:
+# on wide batches, up to four chunks save no time, because the transfer
+# products do more arithmetic per step
 _PLAIN_STEPS = 4 * _CHUNK
 
 
@@ -85,10 +87,11 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
 
     ``seqs`` is a list of 1-D arrays of lengths >= 2; ``trans`` is (B, n, n),
     ``init``/``means``/``variances`` are (B, n) and ``var_floor`` is (B,).
-    Sequences are sorted by length and fitted in padded batches (see
-    :func:`_baum_welch_padded`); each result is bit-identical to fitting its
-    sequence alone. Returns ``(trans, init, means, variances, hists)`` with
-    the parameters stacked as on input and ``hists`` a list of per-sequence
+    Sequences are sorted by length, longest first, and fitted in batches of
+    at most ``_BATCH_CELLS`` chunk cells, each in one EM loop (see
+    :func:`_em`); each result is bit-identical to fitting its sequence
+    alone. Returns ``(trans, init, means, variances, hists)`` with the
+    parameters stacked as on input and ``hists`` a list of per-sequence
     log-likelihood histories (one entry per evaluated parameter set; the last
     entry always corresponds to the returned parameters).
     """
@@ -100,19 +103,15 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
     hists = [None] * len(seqs)
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
+    cells = (-(-lengths[order] // _CHUNK) * _CHUNK).tolist()
     start = 0
     while start < order.size:
-        top = lengths[order[start]]
-        stop = start + 1
-        while (
-            stop < order.size
-            and (stop - start + 1) * top <= _BATCH_CELLS
-            and lengths[order[stop]] * _BUCKET_SPAN >= top
-            and (lengths[order[stop]] > _PLAIN_STEPS) == (top > _PLAIN_STEPS)
-        ):
+        stop, total = start + 1, cells[start]
+        while stop < order.size and total + cells[stop] <= _BATCH_CELLS:
+            total += cells[stop]
             stop += 1
         idx = order[start:stop]
-        out = _baum_welch_padded(
+        out = _em(
             [seqs[k] for k in idx], trans[idx], init[idx], means[idx], variances[idx],
             var_floor[idx], tol, max_iter,
         )
@@ -123,27 +122,99 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
     return trans, init, means, variances, hists
 
 
-def _chunk_starts(e, mat, first):
-    """Levels 1-2 of the blocked scan: the vector entering each chunk.
+class _Layout:
+    """The ragged chunk layout of ``S`` sequences of non-increasing lengths
+    ``L``, with ``n`` states.
 
-    Arrays are chunk-major: column ``c * B + k`` of ``e`` (K, n, C*B) holds
-    the emission factors of chunk ``c`` of sequence ``k``, and ``mat`` (n, n,
-    C*B) the step matrix of its chunk's sequence. A scan maps its state
-    vector ``y`` to ``normalize((y * e[t]) @ mat)`` at each step; ``first``
-    (n, B) enters chunk 0 unchanged. Level 1 forms every chunk's transfer
-    product at once in K steps, renormalized at each step because emission
-    factors are at most 1 and unnormalized products underflow. Level 2
-    carries the entering vector across the chunk ends in order. Returns
-    (n, C*B).
+    Sequence ``k`` is cut into ``ceil(L[k] / K)`` chunks of ``K`` steps from
+    t = 0, so only its last chunk is padded. ``K`` is ``_CHUNK`` = 16, or
+    ``L[0]`` when every sequence is plain (at most ``_PLAIN_STEPS`` steps)
+    and one chunk each pads to no more cells than 16-step chunks would: the
+    plain recursion then runs without rounds. A cell array is (K, W) or
+    (K, n, W), one column per chunk, and the columns are chunk-major: block
+    ``c``, columns ``off[c]`` to ``off[c + 1]``, holds chunk ``c`` of every
+    sequence that has one, in length order. Each block is thus a prefix of
+    the sequences, and block 0 is all of them.
+
+    The same layout holds each sequence in its own reversed time, step
+    ``L - 1 - t`` in the cell of step ``t``. ``perm`` maps each cell of a
+    (K, n, W) array to the cell of the other end of time; the map is its
+    own inverse, so it serves both directions. Padding maps to the
+    sequence's step 0, which is also reversed step 0, where the backward
+    pass starts from uniform.
+    """
+
+    def __init__(self, L, n):
+        S = self.S = L.size
+        top = int(L[0])
+        plain = top <= _PLAIN_STEPS and S * top <= _CHUNK * int((-(-L // _CHUNK)).sum())
+        K = self.K = top if plain else _CHUNK
+        chunks = -(-L // K)
+        per_block = np.searchsorted(-chunks, -np.arange(chunks[0]))  # sequences with chunk c
+        off = self.off = np.concatenate(([0], np.cumsum(per_block)))
+        W = self.W = int(off[-1])
+        chunk = np.repeat(np.arange(chunks[0]), per_block)
+        seq = self.seq = np.arange(W) - off[chunk]
+        t = chunk * K + np.arange(K)[:, None]
+        end = L[seq]
+        self.pad = t >= end
+        self.step = np.minimum(t, end - 1)
+        r = np.where(self.pad, 0, end - 1 - t)
+        self.perm = (r % K * (n * W) + off[r // K] + seq)[:, None, :] + np.arange(n)[:, None] * W
+        # bincount bins in time order (see sums): every step, or all but the last
+        self.all = np.where(self.pad, S, seq).T.ravel()
+        self.tr = np.where(t >= end - 1, S, seq).T.ravel()
+        self.last = ((L - 1) % K, off[chunks - 1] + np.arange(S))
+        # the column holding the step after each column's row K - 1
+        self.next = np.where(chunk + 1 < chunks[seq], off[np.minimum(chunk + 1, chunks[0])] + seq,
+                             np.arange(W))
+        # levels 1-2 of the blocked scan run on the non-last chunks of the
+        # sequences longer than _PLAIN_STEPS, the first ``long`` sequences;
+        # carry[c] of them have a chunk after chunk c
+        long = int(np.count_nonzero(L > _PLAIN_STEPS))
+        self.level1 = (seq < long) & (chunk < chunks[seq] - 1)
+        self.carry = [m for m in np.minimum(per_block[1:], long).tolist() if m]
+        # round r restarts chunk r of each plain sequence that has one (the
+        # columns lo to hi) from row K - 1 of its chunk r - 1 (from column
+        # prev), and runs only the rows that some of them fill
+        self.rounds = [
+            (int(off[r] + long), int(off[r] + per_block[r]), int(off[r - 1] + long),
+             min(K, int(L[long]) - K * r))
+            for r in range(1, min(int(chunks[0]), _PLAIN_STEPS // K))
+            if per_block[r] > long
+        ]
+
+    def sums(self, x, bins):
+        """Each sequence's sum of the cells of ``x`` (K, W) that ``bins``
+        keeps. ``np.bincount`` adds in input order, and each sequence's
+        cells go in in time order, so a sum equals a sequential cumulative
+        sum's value at its last step bit for bit."""
+        return np.bincount(bins, weights=x.T.ravel(), minlength=self.S + 1)[: self.S]
+
+
+def _chunk_starts(e, mat, first, lay):
+    """Levels 1-2 of the blocked scan: the vector entering each column.
+
+    ``e`` (K, n, W) holds the emission factors and ``mat`` (n, n, W) the
+    step matrix of each column's sequence, in the layout ``lay``. A scan
+    maps its state vector ``y`` to ``normalize((y * e[t]) @ mat)`` at each
+    step; ``first`` (n, S) enters chunk 0. Level 1 forms the transfer
+    product of every non-last chunk of the sequences longer than
+    ``_PLAIN_STEPS`` at once in K steps, renormalized at each step because
+    emission factors are at most 1 and unnormalized products underflow.
+    Level 2 carries the entering vector across the chunk ends in order.
+    Returns (n, W); the plain sequences' later chunks get a uniform
+    placeholder, which the rounds of :func:`_forward` and :func:`_backward`
+    replace.
     """
     K, n, width = e.shape
-    B = first.shape[1]
-    starts = np.empty((n, width))
-    starts[:, :B] = first
-    w = width - B  # the last chunk's product is never used
-    if not w:
+    starts = np.full((n, width), 1.0 / n)
+    starts[:, : first.shape[1]] = first
+    if not lay.carry:
         return starts
-    ec, mc = e[:, :, :w], mat[:, :, :w]
+    # np.compress, unlike a[:, :, mask], returns C-contiguous arrays
+    ec = np.compress(lay.level1, e, axis=2)
+    mc = np.compress(lay.level1, mat, axis=2)
     prod = ec[0][:, None] * mc
     for k in range(1, K):
         pe = prod * ec[k]
@@ -157,161 +228,169 @@ def _chunk_starts(e, mat, first):
                     s = s + prod[i, j]
         prod /= s
     y = first
-    for lo in range(0, w, B):
-        v = y[0] * prod[0, :, lo : lo + B]
+    p = 0
+    for c, m in enumerate(lay.carry):
+        v = y[0, :m] * prod[0, :, p : p + m]
         for i in range(1, n):
-            v += y[i] * prod[i, :, lo : lo + B]
+            v += y[i, :m] * prod[i, :, p : p + m]
         s = v[0]
         for j in range(1, n):
             s = s + v[j]
-        y = starts[:, lo + B : lo + 2 * B] = v / s
+        lo = lay.off[c + 1]
+        y = starts[:, lo : lo + m] = v / s
+        p += m
     return starts
 
 
-def _forward(b, trans, init):
-    """Scaled forward pass on chunk-major emission factors ``b`` (K, n, C*B)
-    with ``trans`` tiled to (n, n, C*B): level 3 runs the per-step
-    recursion in all chunks at once from each chunk's entering prediction.
-    Returns normalized ``alpha`` in the same layout and the per-step
-    ``scale`` (K, C*B)."""
-    K, n, width = b.shape
-    alpha = np.empty_like(b)
-    scale = np.empty((K, width))
-    raw = _chunk_starts(b, trans, init) * b[0]
-    for k in range(K):
+def _forward_steps(b, trans, raw, alpha, scale):
+    """Level 3 of the forward pass on columns of (K, n, ·) arrays: the
+    per-step recursion from ``raw``, the unnormalized step 0, in all
+    columns at once."""
+    for k in range(b.shape[0]):
         if k:
-            raw = alpha[k - 1, 0] * trans[0]
-            for j in range(1, n):
-                raw += alpha[k - 1, j] * trans[j]
+            raw = _predict(alpha[k - 1], trans)
             raw *= b[k]
         s = raw[0]
-        for i in range(1, n):
+        for i in range(1, raw.shape[0]):
             s = s + raw[i]
         np.divide(raw, s, out=alpha[k])
         scale[k] = s
+
+
+def _predict(a, trans):
+    """``a @ trans`` per column, summed over states in order."""
+    raw = a[0] * trans[0]
+    for j in range(1, a.shape[0]):
+        raw += a[j] * trans[j]
+    return raw
+
+
+def _forward(b, trans, init, lay):
+    """Scaled forward pass on the emission factors ``b`` (K, n, W), with
+    ``trans`` (n, n, W) per column: level 3 runs in every column from its
+    entering prediction. Round r then restarts chunk r of the plain
+    sequences with one plain step from row K - 1 of their chunk r - 1.
+    Returns normalized ``alpha`` in the same layout and the per-step
+    ``scale`` (K, W)."""
+    alpha = np.empty_like(b)
+    scale = np.empty((b.shape[0], b.shape[2]))
+    _forward_steps(b, trans, _chunk_starts(b, trans, init, lay) * b[0], alpha, scale)
+    for lo, hi, prev, steps in lay.rounds:
+        b_r, t_r = _round_inputs(b, trans, lo, hi, steps)
+        a_r, s_r = np.empty_like(b_r), np.empty((steps, hi - lo))
+        raw = _predict(alpha[-1, :, prev : prev + hi - lo], t_r) * b_r[0]
+        _forward_steps(b_r, t_r, raw, a_r, s_r)
+        alpha[:steps, :, lo:hi], scale[:steps, lo:hi] = a_r, s_r
     return alpha, scale
 
 
-def _backward(b, trans, B):
+def _round_inputs(b, trans, lo, hi, steps):
+    """C-contiguous copies of a round's factors and step matrices: ufuncs
+    on the strided column slices cost about twice as much per call."""
+    return np.ascontiguousarray(b[:steps, :, lo:hi]), np.ascontiguousarray(trans[:, :, lo:hi])
+
+
+def _back_step(b, beta, trans, out):
+    """One normalized backward step, ``trans @ (b * beta)`` per column,
+    into ``out``."""
+    nxt = b * beta
+    v = trans[:, 0] * nxt[0]
+    for j in range(1, nxt.shape[0]):
+        v += trans[:, j] * nxt[j]
+    s = v[0]
+    for i in range(1, v.shape[0]):
+        s = s + v[i]
+    np.divide(v, s, out=out)
+
+
+def _backward(b, trans, lay):
     """Backward pass, normalized per step, in reversed time: ``b`` holds the
     emission factors of each sequence read backward from its own last step,
-    chunk-major as in :func:`_forward`, and so does the returned ``beta``.
-    Each sequence starts from uniform at its own last step."""
+    in the layout of :func:`_forward`, and so does the returned ``beta``.
+    Each sequence starts from uniform at its own last step; rounds restart
+    the plain sequences' later chunks as in :func:`_forward`."""
     K, n, _ = b.shape
     beta = np.empty_like(b)
-    beta[0] = _chunk_starts(b, np.swapaxes(trans, 0, 1), np.full((n, B), 1.0 / n))
-    for k in range(1, K):
-        nxt = b[k - 1] * beta[k - 1]
-        v = trans[:, 0] * nxt[0]
-        for j in range(1, n):
-            v += trans[:, j] * nxt[j]
-        s = v[0]
-        for i in range(1, n):
-            s = s + v[i]
-        np.divide(v, s, out=beta[k])
+    beta[0] = _chunk_starts(b, np.swapaxes(trans, 0, 1), np.full((n, lay.S), 1.0 / n), lay)
+    _backward_steps(b, trans, beta, K)
+    for lo, hi, prev, steps in lay.rounds:
+        b_r, t_r = _round_inputs(b, trans, lo, hi, steps)
+        beta_r = np.empty_like(b_r)
+        back = slice(prev, prev + hi - lo)
+        _back_step(b[-1, :, back], beta[-1, :, back], t_r, beta_r[0])
+        _backward_steps(b_r, t_r, beta_r, steps)
+        beta[:steps, :, lo:hi] = beta_r
     return beta
 
 
-def _chunking(T):
-    """(chunks, chunk length) covering ``T`` steps: one chunk of exactly
-    ``T`` steps, the plain recursion, when ``T <= _PLAIN_STEPS``."""
-    if T <= _PLAIN_STEPS:
-        return 1, T
-    return -(-T // _CHUNK), _CHUNK
+def _backward_steps(b, trans, beta, steps):
+    """Level 3 of the backward pass on columns of (K, n, ·) arrays: rows 1
+    to ``steps - 1`` from row 0."""
+    for k in range(1, steps):
+        _back_step(b[k - 1], beta[k - 1], trans, beta[k])
 
 
-def _to_chunks(a, C, K):
-    """(C*K, n, B) in time order -> chunk-major (K, n, C*B)."""
-    return a.reshape(C, K, a.shape[1], -1).transpose(1, 2, 0, 3).reshape(K, a.shape[1], -1)
+def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
+    """One batch of :func:`baum_welch_batch`; ``seqs`` are sorted by
+    non-increasing length.
 
-
-def _from_chunks(a, C, K):
-    """Chunk-major (K, n, C*B) -> (C*K, n, B) in time order."""
-    return a.reshape(K, a.shape[1], C, -1).transpose(2, 0, 1, 3).reshape(C * K, a.shape[1], -1)
-
-
-def _reversal(L, C, K, n):
-    """Flat indices between a (C*K, n, B) time-ordered array and the
-    chunk-major layout of each column's first ``L[k]`` steps in reversed
-    time.
-
-    ``to_rev`` takes time order to reversed chunk-major (K, n, C*B), where
-    padding repeats the column's step 0; ``back`` takes that layout to time
-    order (C*K, n, B), where padding gets reversed step 0, the uniform
-    start.
+    The observations sit in the ragged chunk layout (see :class:`_Layout`),
+    each sequence's last chunk edge-padded. The scaled forward and backward
+    recursions run on all columns at once with explicit loops over states:
+    a sequence longer than ``_PLAIN_STEPS`` runs the blocked scan (see
+    :func:`_chunk_starts`), a shorter one the plain per-step recursion.
+    Every quantity of a sequence is computed from that sequence's first
+    ``L`` steps only, by the same operations in the same order whatever its
+    companions: forward chunks start at t = 0, the backward pass scans each
+    sequence in its own reversed time from uniform at its own last step, so
+    padding never feeds a real step, and every sum over time adds the
+    sequence's steps in time order. A sequence leaves the batch once its
+    log-likelihood gain drops below ``tol`` (or at ``max_iter``); its
+    parameters are recorded at once, and its columns are dropped after that
+    iteration's M-step.
     """
-    B = L.size
-    t = np.arange(C * K)[:, None]
-    r = np.where(t < L, L - 1 - t, 0)  # the step at the other end of time
-    to_rev = r[:, None, :] * (n * B) + (np.arange(n)[:, None] * B + np.arange(B))
-    if C == 1:
-        return to_rev, to_rev
-    c, k = np.divmod(r, K)
-    back = (k * (n * C * B) + c * B + np.arange(B))[:, None, :] + np.arange(n)[:, None] * (C * B)
-    return _to_chunks(to_rev, C, K), back
-
-
-def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_iter):
-    """One padded batch of :func:`baum_welch_batch`; ``seqs`` are sorted
-    by non-increasing length.
-
-    The observations form a (T, B) matrix, each column edge-padded past its
-    own length ``L`` and the batch past ``T`` to whole chunks. The scaled
-    forward and backward recursions run as a blocked scan, chunks of
-    ``_CHUNK`` steps (see :func:`_chunk_starts`), with each step's
-    arithmetic done across all chunks of the batch and explicit loops over
-    states. Every quantity of a sequence is computed from that sequence's
-    first ``L`` steps only, by the same operations in the same order
-    whatever its companions: forward chunks start at t = 0, the backward
-    pass scans each column in its own reversed time from uniform at its own
-    last step, so padding never feeds a real step, and every sum over time
-    is a sequential cumulative sum read at the column's own end. A sequence
-    leaves the batch once its log-likelihood gain drops below ``tol`` (or at
-    ``max_iter``).
-    """
-    B = len(seqs)
+    S = len(seqs)
     n = init.shape[1]
     L = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    T = int(L[0])
-    C, K = _chunking(T)
-    obs = np.empty((C * K, B))
-    for k, s in enumerate(seqs):
-        obs[: L[k], k] = s
-        obs[L[k] :, k] = s[-1]
-    # parameters with the batch axis last: each per-state slice is a row
+    lay = _Layout(L, n)
+    flat = np.concatenate(seqs)
+    first = np.cumsum(L) - L  # each sequence's offset in flat
+    obs = flat[first[lay.seq] + lay.step]  # each last chunk edge-padded
+    # parameters with the sequence axis last: each per-state slice is a row
     trans = np.ascontiguousarray(np.moveaxis(trans, 0, -1))
     init = np.ascontiguousarray(init.T)
     means = np.ascontiguousarray(means.T)
     variances = np.ascontiguousarray(variances.T)
 
-    out_trans = np.empty((B, n, n))
-    out_init = np.empty((B, n))
-    out_means = np.empty((B, n))
-    out_vars = np.empty((B, n))
-    hist = np.empty((max_iter + 1, B))
-    hists = [None] * B
-    rows = np.arange(B)  # batch position of each live column
-    cols = np.arange(B)
-    pad = np.arange(C * K)[:, None] >= L
-    to_rev, back = _reversal(L, C, K, n)
+    out_trans = np.empty((S, n, n))
+    out_init = np.empty((S, n))
+    out_means = np.empty((S, n))
+    out_vars = np.empty((S, n))
+    hist = np.empty((1, S))  # doubles as iterations go, up to max_iter + 1 rows
+    hists = [None] * S
+    rows = np.arange(S)  # batch position of each live sequence
     prev_ll = None
 
     for it in range(max_iter + 1):
-        log_var = np.log(variances)
-        b = np.empty((C * K, n, rows.size))  # log-densities, then factors
+        tc = np.take(trans, lay.seq, axis=2)
+        log_var = np.take(np.log(variances), lay.seq, axis=1)
+        mc = np.take(means, lay.seq, axis=1)
+        vc = np.take(variances, lay.seq, axis=1)
+        b = np.empty((lay.K, n, lay.W))  # log-densities, then factors
         for i in range(n):
-            d = obs - means[i]
-            b[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / variances[i])
+            d = obs - mc[i]
+            b[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / vc[i])
         shifts = b.max(axis=1)
         np.exp(np.subtract(b, shifts[:, None], out=b), out=b)
         # unit factors in the padding: its forward steps keep a positive sum
-        np.copyto(b, 1.0, where=pad[:, None, :])
+        np.copyto(b, 1.0, where=lay.pad[:, None, :])
 
-        alpha, scale = _forward(_to_chunks(b, C, K), np.tile(trans, C), init)
-        alpha = _from_chunks(alpha, C, K)
-        scale = scale.reshape(K, C, -1).transpose(1, 0, 2).reshape(C * K, -1)
-        ll = np.cumsum(np.log(scale[:T]) + shifts[:T], axis=0)[L - 1, cols]
+        alpha, scale = _forward(b, tc, init, lay)
+        ll = lay.sums(np.log(scale) + shifts, lay.all)
+        del scale, shifts
 
+        if it == hist.shape[0]:
+            hist = np.concatenate([hist, np.empty((min(it, max_iter + 1 - it), S))])
         hist[it, rows] = ll
         done = np.full(rows.size, it == max_iter)
         if prev_ll is not None:
@@ -324,51 +403,43 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
             out_vars[fin] = variances[:, done].T
             for k in fin:
                 hists[k] = hist[: it + 1, k].copy()
-            keep = ~done
-            if not keep.any():
+            if done.all():
                 break
-            rows, L, ll = rows[keep], L[keep], ll[keep]
-            T = int(L[0])
-            C, K = _chunking(T)
-            obs, alpha, b = obs[: C * K, keep], alpha[: C * K, :, keep], b[: C * K, :, keep]
-            trans, init = trans[:, :, keep], init[:, keep]
-            means, variances = means[:, keep], variances[:, keep]
-            cols = np.arange(rows.size)
-            pad = pad[: C * K, keep]
-            to_rev, back = _reversal(L, C, K, n)
-        prev_ll = ll
 
-        # past a column's step 0 the reversed scan may divide 0 by 0 (a
+        # past a sequence's step 0 the reversed scan may divide 0 by 0 (a
         # state no transition enters); those steps are never read back
         with np.errstate(invalid="ignore", divide="ignore"):
-            beta = _backward(np.take(b, to_rev), np.tile(trans, C), rows.size)
-        beta = np.take(beta, back)[:T]
-        alpha, b, o = alpha[:T], b[:T], obs[:T]
+            beta = np.take(_backward(np.take(b, lay.perm), tc, lay), lay.perm)
 
         gamma = alpha * beta
         gs = gamma[:, 0]
         for i in range(1, n):
             gs = gs + gamma[:, i]
         gamma /= gs[:, None]
+        del gs
 
-        nxt = b[1:] * beta[1:]
-        m = [[(alpha[:-1, i] * trans[i, j]) * nxt[:, j] for j in range(n)] for i in range(n)]
+        # b becomes the factor of the step after each cell, in place; row
+        # K - 1 reads row 0 of the sequence's next chunk
+        np.multiply(b, beta, out=beta)
+        b[:-1] = beta[1:]
+        b[-1] = np.take(beta[0], lay.next, axis=1)
+        del beta
+        m = [[(alpha[:, i] * tc[i, j]) * b[:, j] for j in range(n)] for i in range(n)]
+        del alpha, b  # freed before the M-step, whose sums set peak memory
         ms = m[0][0]
         for i in range(n):
             for j in range(n):
                 if i or j:
                     ms = ms + m[i][j]
-        del alpha, beta, b, nxt  # freed before the M-step, whose sums set peak memory
 
-        # M-step; every sum over time is read at the column's own end
-        cg = np.cumsum(gamma, axis=0)
-        gsum_tr = cg[L - 2, :, cols].T
-        gsum_all = cg[L - 1, :, cols].T
-        init = gamma[0].copy()
+        # M-step; every sum over time adds in time order (see _Layout.sums)
+        gsum_tr = [lay.sums(gamma[:, i], lay.tr) for i in range(n)]
+        gsum_all = [s + gamma[lay.last[0], i, lay.last[1]] for i, s in enumerate(gsum_tr)]
+        init = gamma[0, :, : rows.size].copy()
         floor = var_floor[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(n):
-                xi = [np.cumsum(m[i][j] / ms, axis=0)[L - 2, cols] for j in range(n)]
+                xi = [lay.sums(np.divide(m[i][j], ms, out=m[i][j]), lay.tr) for j in range(n)]
                 row = [x / gsum_tr[i] for x in xi]
                 rs = row[0]
                 for j in range(1, n):
@@ -377,13 +448,23 @@ def _baum_welch_padded(seqs, trans, init, means, variances, var_floor, tol, max_
                     trans[i, j] = np.where(gsum_tr[i] > 0.0, row[j] / rs, trans[i, j])
             for i in range(n):
                 g = gamma[:, i]
-                mu = np.cumsum(g * o, axis=0)[L - 1, cols] / gsum_all[i]
-                dev = o - mu
-                var = np.cumsum(g * (dev * dev), axis=0)[L - 1, cols] / gsum_all[i]
+                mu = lay.sums(g * obs, lay.all) / gsum_all[i]
+                dev = obs - mu[lay.seq]
+                var = lay.sums(g * (dev * dev), lay.all) / gsum_all[i]
                 ok = gsum_all[i] > 0.0
                 means[i] = np.where(ok, mu, means[i])
                 variances[i] = np.where(ok, np.where(var > floor, var, floor), variances[i])
-        del gamma, m, ms, cg  # freed before the next iteration's passes
+        del gamma, m, ms  # freed before the next iteration's passes
+
+        if done.any():
+            keep = ~done
+            rows, L, ll, first = rows[keep], L[keep], ll[keep], first[keep]
+            trans = np.compress(keep, trans, axis=2)
+            init, means, variances = (np.compress(keep, a, axis=1)
+                                      for a in (init, means, variances))
+            lay = _Layout(L, n)
+            obs = flat[first[lay.seq] + lay.step]
+        prev_ll = ll
 
     return out_trans, out_init, out_means, out_vars, hists
 
