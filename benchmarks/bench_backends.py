@@ -12,9 +12,10 @@ import argparse
 import os
 import time
 
-import numpy as np
-
+# triscope first, so that numpy loads with the BLAS threads the CLI runs on
 from triscope import backends, write_tensor_text
+
+import numpy as np
 
 
 def median_time(fn, args, repeats, min_loops=1):

@@ -6,6 +6,14 @@ per-user temporal trajectories, Ward-clusters them, and flags network-event
 windows on the cluster centers.
 """
 
+import os
+import sys
+
+# The pipeline's matrices are small: extra OpenBLAS threads only spin, and
+# make the last digits depend on the core count. A caller's value is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .anomaly import AnomalyRanking, ranking_correlation, user_scores

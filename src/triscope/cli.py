@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -503,6 +504,8 @@ def _write_manifest(cfg: PipelineConfig, command: str, out: Path) -> None:
                 "triscope": __version__,
                 "numpy": np.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
+                "blas": "{name} {version}".format_map(np.show_config(mode="dicts")["Build Dependencies"]["blas"]),
+                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             },
         },
     )

@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triscope
 from triscope import hooi, load_model, read_tensor_text, save_model, scree_select
 from triscope import cli
 from triscope.cli import (
@@ -110,7 +114,9 @@ class TestPipelineOutputs:
         assert data["rng"] == "numpy.random.PCG64"
         assert data["config"]["window_hours"] == 48
         assert set(data) == {"command", "config", "rng", "versions"}
-        assert set(data["versions"]) == {"triscope", "numpy", "python"}
+        assert set(data["versions"]) == {"triscope", "numpy", "python", "blas", "blas_threads"}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert data["versions"]["blas"] == f"{blas['name']} {blas['version']}"
 
     def test_decompose_matches_library_call(self, pipeline_dir):
         """The persisted model equals a library-level fit of the persisted
@@ -124,6 +130,60 @@ class TestPipelineOutputs:
         save_model(direct, buf_direct)
         save_model(saved, buf_saved)
         assert buf_direct.getvalue() == buf_saved.getvalue()
+
+
+def run_python(args, threads=None):
+    """Run a fresh interpreter on ``args`` with this checkout's triscope
+    importable and OPENBLAS_NUM_THREADS set to ``threads`` (None: unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(triscope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# prints the process's thread count after a matmul large enough for OpenBLAS
+# to split across threads, then OPENBLAS_NUM_THREADS
+THREADS_AFTER_MATMUL = (
+    "import os; {imports}; a = numpy.ones((600, 600)); a @ a; "
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+class TestBlasThreads:
+    """triscope runs numpy's OpenBLAS on one thread unless the caller says
+    otherwise: extra threads only spin on its small matrices, and the last
+    output digits would depend on the core count."""
+
+    def test_import_pins_one_thread(self):
+        out = run_python(["-c", THREADS_AFTER_MATMUL.format(imports="import triscope, numpy")])
+        assert out.split() == ["1", "1"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per core at most")
+    def test_callers_setting_is_kept(self):
+        out = run_python(["-c", THREADS_AFTER_MATMUL.format(imports="import triscope, numpy")], threads="2")
+        assert out.split() == ["2", "2"]
+
+    def test_numpy_loaded_first_leaves_environment_alone(self):
+        out = run_python(["-c", THREADS_AFTER_MATMUL.format(imports="import numpy, triscope")])
+        assert out.split()[1] == "None"
+
+    def test_manifest_records_threads_and_bytes_do_not_depend_on_default(self, tmp_path):
+        run_python(["-m", "triscope", "synth", *SYNTH_ARGS, "--out-dir", str(tmp_path)])
+        pipeline = ["-m", "triscope", "pipeline", "--log", str(tmp_path / "log.csv"), *PIPE_ARGS,
+                    "--out-dir", str(tmp_path)]
+        run_python(pipeline)
+        unset = snapshot(tmp_path)
+        assert json.loads(unset["manifest.json"])["versions"]["blas_threads"] == "1"
+        run_python(pipeline, threads="1")
+        assert snapshot(tmp_path) == unset
+        run_python(pipeline, threads="2")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"]["blas_threads"] == "2"
 
 
 class TestDeterminismAndReruns:
