@@ -154,6 +154,10 @@ THREADS_AFTER_MATMUL = (
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+@pytest.mark.skipif(
+    "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+    reason="only OpenBLAS reads OPENBLAS_NUM_THREADS",
+)
 class TestBlasThreads:
     """triscope runs numpy's OpenBLAS on one thread unless the caller says
     otherwise: extra threads only spin on its small matrices, and the last
