@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels: the HMM forward, Viterbi and batched
-Baum-Welch kernels, the Ward kernel and the tensor text writer.
+Baum-Welch kernels, the Ward kernel, the tensor text writer and the Tucker3
+scree.
 
 Runs each kernel on representative inputs and reports its median per-call
 time (the writer writes to the null device).
@@ -13,7 +14,7 @@ import os
 import time
 
 # triscope first, so that numpy loads with the BLAS threads the CLI runs on
-from triscope import backends, write_tensor_text
+from triscope import backends, scree_select, write_tensor_text
 
 import numpy as np
 
@@ -91,6 +92,14 @@ def cases(rng):
     for dims in ((400, 10, 48), (100, 10, 720)):
         name = "tensor write " + "x".join(str(d) for d in dims)
         yield name, write_tensor_text, (rng.normal(size=dims), sink)
+    # the default 3 x 3 x 3 scree grid on the same shapes, a planted
+    # (3, 3, 2) model under 30% noise
+    for dims in ((400, 10, 48), (100, 10, 720)):
+        core = rng.normal(size=(3, 3, 2))
+        x = np.einsum("pqr,ip,jq,kr->ijk", core, *(rng.normal(size=(d, k)) for d, k in zip(dims, core.shape)))
+        x = x + rng.normal(size=dims) * (0.3 * x.std())
+        name = "scree_select " + "x".join(str(d) for d in dims)
+        yield name, scree_select, (x, 3, 3, 3)
 
 
 def main():

@@ -9,11 +9,11 @@ The two runtime-dominant inner loops of the toolkit live here:
 The HMM kernels have one implementation each, in vectorized numpy.
 Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
 fits many sequences in one call and one EM loop per batch of at most
-``_BATCH_CELLS`` chunk cells. The sequences sit unpadded in a ragged layout
-of 16-step chunks (see ``_Layout``), and each time step's arithmetic is
-done across every chunk at once. Long sequences run as a chunked two-level
-scan (see ``_chunk_starts``), and each sum over time is one
-``np.bincount`` that adds in time order. The fits are pinned against a
+``_BATCH_CELLS`` = 2^16 chunk cells. The sequences sit unpadded in a
+ragged layout of 16-step chunks (see ``_Layout``), and each time step's
+arithmetic is done across every chunk at once. Long sequences run as a
+chunked two-level scan (see ``_chunk_starts``), and each sum over time is
+one ``np.bincount`` that adds in time order. The fits are pinned against a
 scalar-loop reference and, bit for bit, against the padded engine this one
 replaced, in ``tests/test_backends.py``; ``benchmarks/bench_backends.py``
 times the kernels.
@@ -72,8 +72,10 @@ def viterbi_kernel(obs, log_trans, log_init, means, variances):
 
 
 # chunk cells per EM batch, the sum of 16 * ceil(L / 16) over its sequences
-# filled longest first; bounds the engine's working set
-_BATCH_CELLS = 1 << 15
+# filled longest first; bounds the engine's working set. Every batch runs
+# until its slowest fit stops, so fewer batches means fewer EM iterations:
+# 2^16 holds a 400-user, 48-hour log (57,376 cells) in one batch
+_BATCH_CELLS = 1 << 16
 # steps per chunk of the ragged layout and of the blocked scan (see _Layout)
 _CHUNK = 16
 # a sequence of at most this many steps runs the plain per-step recursion:

@@ -6,6 +6,15 @@ The fit statistic throughout is explained variance as a percentage:
 equals ``100 * |core|_F^2 / |X|_F^2``, which is what the sweep loop tracks.
 Factor-column signs are fixed by making the largest-magnitude entry of each
 column positive, so repeated runs give identical matrices.
+
+The HOSVD factors, the leading left singular vectors of the three
+unfoldings of ``x``, come from ``eigh`` of each unfolding's smaller Gram
+matrix. A HOOI sweep contracts ``x`` with matmuls on its views
+``x.reshape(I, J*K)`` and ``x.reshape(I*J, K)`` and takes each new factor
+from the thin SVD of a small contracted unfolding. The scree fits each
+distinct model once: a grid point whose rank exceeds the product of the
+other two is the same model as its reduced triple (see ``_reduced``),
+which CHull-style selection (Ceulemans & Kiers 2006) leaves out.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from .tensor import (
     _read_block,
     frobenius_norm,
     matrix,
-    mode_multiply,
     reconstruct,
     tensor3,
     unfold,
@@ -101,7 +109,7 @@ class AnovaReport:
 @dataclass(frozen=True)
 class ScreeResult:
     """Fit over a (P, Q, R) grid plus the elbow-selected point, the model
-    fitted there, and how many grid fits stopped at ``max_iter``."""
+    fitted there, and how many grid points' fits stopped at ``max_iter``."""
 
     grid: tuple[tuple[int, int, int, float], ...]
     selected: tuple[int, int, int]
@@ -122,32 +130,61 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs[None, :]
 
 
-def _leading_vectors(unf: np.ndarray, k: int, cached_u: np.ndarray | None = None) -> np.ndarray:
-    """First k left singular vectors of an unfolding, sign-fixed."""
-    if cached_u is not None and cached_u.shape[1] >= k:
-        return _fix_signs(cached_u[:, :k].copy())
-    full = k > min(unf.shape)
-    u = np.linalg.svd(unf, full_matrices=full)[0]
+def _leading_vectors(unf: np.ndarray, k: int) -> np.ndarray:
+    """First k left singular vectors of a small matrix, sign-fixed; a k above
+    its smaller extent takes the full SVD, which completes the basis."""
+    u = np.linalg.svd(unf, full_matrices=k > min(unf.shape))[0]
     return _fix_signs(u[:, :k].copy())
 
 
-def hosvd(x: np.ndarray, p: int, q: int, r: int, _svds=None) -> TuckerModel:
+def _unfolding_basis(x: np.ndarray, mode: int, k: int = 0) -> np.ndarray:
+    """Left singular vectors of the mode-``mode`` unfolding of ``x``, leading
+    first, from ``eigh`` of the smaller Gram matrix.
+
+    A wide unfolding gives them directly from its row Gram. A tall one gives
+    the right vectors V from its column Gram, and the left ones are the
+    orthonormal factor of ``unf @ V``, one per column; a ``k`` above the
+    column count takes the row Gram instead, whose basis is complete.
+    """
+    i, j, kk = x.shape
+    if mode == 1:
+        unf = x.reshape(i, j * kk)
+    elif mode == 2:
+        unf = unfold(x, 2)
+    else:
+        unf = x.reshape(i * j, kk).T
+    rows, cols = unf.shape
+    if rows <= cols or k > cols:
+        return np.linalg.eigh(unf @ unf.T)[1][:, ::-1]
+    v = np.linalg.eigh(unf.T @ unf)[1][:, ::-1]
+    return np.linalg.qr(unf @ v)[0]
+
+
+def _project(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Core ``x x1 a^T x2 b^T x3 c^T`` as three matmuls."""
+    i, j, k = x.shape
+    xa = (a.T @ x.reshape(i, j * k)).reshape(-1, j, k)
+    return (np.matmul(b.T, xa).reshape(-1, k) @ c).reshape(a.shape[1], b.shape[1], c.shape[1])
+
+
+def hosvd(x: np.ndarray, p: int, q: int, r: int, _bases=None) -> TuckerModel:
     """Truncated higher-order SVD.
 
     Each factor holds the leading left singular vectors of the matching
     unfolding; the core is the projection of ``x`` onto the factor bases.
+    ``_bases`` (private) holds the three unfoldings' bases when a caller
+    has computed them already.
     """
     x = tensor3(x)
     _check_params(x, p, q, r)
+    ranks = (int(p), int(q), int(r))
     xnorm2 = frobenius_norm(x) ** 2
     if xnorm2 == 0.0:
         raise DegenerateInputError("cannot fit a Tucker model to the zero tensor")
-    factors = []
-    for mode, k in ((1, p), (2, q), (3, r)):
-        cached = None if _svds is None else _svds[mode - 1]
-        factors.append(_leading_vectors(unfold(x, mode), int(k), cached))
-    a, b, c = factors
-    core = mode_multiply(mode_multiply(mode_multiply(x, a.T, 1), b.T, 2), c.T, 3)
+    if _bases is None:
+        _bases = [_unfolding_basis(x, mode, k) for mode, k in zip((1, 2, 3), ranks)]
+    a, b, c = (_fix_signs(u[:, :k].copy()) for u, k in zip(_bases, ranks))
+    core = _project(x, a, b, c)
     fit = 100.0 * (frobenius_norm(core) ** 2) / xnorm2
     return TuckerModel(core, a, b, c, float(fit))
 
@@ -159,34 +196,43 @@ def hooi(
     r: int,
     tol: float = 1e-6,
     max_iter: int = 100,
-    _svds=None,
+    _bases=None,
 ) -> TuckerModel:
     """Higher-order orthogonal iteration starting from the HOSVD factors.
 
     Sweeps update one factor at a time from the SVD of the tensor contracted
     with the other two factors; iteration stops when the fit improves by less
     than ``tol`` percentage points in a sweep, or after ``max_iter`` sweeps
-    (then the model's ``converged`` is False).
+    (then the model's ``converged`` is False). Each contraction is a pair of
+    matmuls on the unfoldings ``x.reshape(I, J*K)`` and ``x.reshape(I*J, K)``,
+    which are views of ``x``.
     """
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
-    model = hosvd(x, p, q, r, _svds=_svds)
+    model = hosvd(x, p, q, r, _bases=_bases)
     x = tensor3(x)
+    i, j, k = x.shape
+    p, q, r = model.p, model.q, model.r
+    x1 = x.reshape(i, j * k)
+    x3 = x.reshape(i * j, k)
     xnorm2 = frobenius_norm(x) ** 2
     a, b, c = model.factors()
     fit_prev = model.fit_percent
     core = model.core
     for sweep in range(1, max_iter + 1):
-        y = mode_multiply(mode_multiply(x, b.T, 2), c.T, 3)
-        a = _leading_vectors(unfold(y, 1), int(p))
-        xa = mode_multiply(x, a.T, 1)
-        y = mode_multiply(xa, c.T, 3)
-        b = _leading_vectors(unfold(y, 2), int(q))
-        y = mode_multiply(xa, b.T, 2)
-        c = _leading_vectors(unfold(y, 3), int(r))
-        core = mode_multiply(y, c.T, 3)
+        # x x2 b^T x3 c^T, held as (I, R, Q)
+        y = (x3 @ c).reshape(i, j, r).transpose(0, 2, 1).reshape(i * r, j) @ b
+        a = _leading_vectors(y.reshape(i, r * q), p)
+        # x x1 a^T x3 c^T, held as (P, J, R)
+        xa = a.T @ x1
+        y = (xa.reshape(p * j, k) @ c).reshape(p, j, r)
+        b = _leading_vectors(y.transpose(1, 0, 2).reshape(j, p * r), q)
+        # x x1 a^T x2 b^T, held as (P*Q, K)
+        y = np.matmul(b.T, xa.reshape(p, j, k)).reshape(p * q, k)
+        c = _leading_vectors(y.T, r)
+        core = (y @ c).reshape(p, q, r)
         if not (np.all(np.isfinite(core)) and np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise NumericalError(f"non-finite values in HOOI sweep {sweep}")
         fit = 100.0 * (frobenius_norm(core) ** 2) / xnorm2
@@ -333,6 +379,20 @@ def _elbow_select(entries: list[tuple[int, int, int, float]]) -> tuple[int, int,
     return winners[0]
 
 
+def _reduced(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """The smallest ranks of the same model. A core with P > QR (or Q > PR,
+    or R > PQ) has the same best fit as one with that rank cut to the
+    product of the other two, so the ranks are cut until none changes."""
+    ranks = (p, q, r)
+    while True:
+        p = min(p, q * r)
+        q = min(q, p * r)
+        r = min(r, p * q)
+        if (p, q, r) == ranks:
+            return ranks
+        ranks = (p, q, r)
+
+
 def scree_select(
     x: np.ndarray,
     max_p: int,
@@ -346,8 +406,12 @@ def scree_select(
 
     When the full grid exceeds ``sweep_budget`` points, each mode's levels
     are thinned to evenly spaced values (always keeping 1 and the bound)
-    until the product fits. Mode-unfolding SVDs are computed once and reused
-    to initialize every grid point.
+    until the product fits. Each grid point maps to its reduced triple (see
+    ``_reduced``), and HOOI runs once per distinct reduced triple, which may
+    lie off a thinned grid. Every grid row carries its reduced triple's fit,
+    but only rows that are their own reduced triple are selectable, so the
+    selected point is the model's shape. The unfoldings' leading vectors are
+    computed once and sliced by every fit.
     """
     x = tensor3(x)
     _check_params(x, max_p, max_q, max_r)
@@ -360,26 +424,23 @@ def scree_select(
     else:
         levels = _subsample_levels(maxes, sweep_budget)
 
-    svds = [np.linalg.svd(unfold(x, mode), full_matrices=False)[0] for mode in (1, 2, 3)]
-
-    entries: list[tuple[int, int, int, float]] = []
+    bases = [_unfolding_basis(x, mode) for mode in (1, 2, 3)]
+    points = [(int(p), int(q), int(r)) for p in levels[0] for q in levels[1] for r in levels[2]]
+    reduced = {pt: _reduced(*pt) for pt in points}
     models: dict[tuple[int, int, int], TuckerModel] = {}
-    for p in levels[0]:
-        for q in levels[1]:
-            for r in levels[2]:
-                try:
-                    m = hooi(x, int(p), int(q), int(r), tol=tol, max_iter=max_iter, _svds=svds)
-                except NumericalError as exc:
-                    raise NumericalError(f"grid point ({p},{q},{r}): {exc}") from exc
-                entries.append((int(p), int(q), int(r), m.fit_percent))
-                models[entries[-1][:3]] = m
+    for pt in dict.fromkeys(reduced.values()):
+        try:
+            models[pt] = hooi(x, *pt, tol=tol, max_iter=max_iter, _bases=bases)
+        except NumericalError as exc:
+            raise NumericalError("grid point ({},{},{}): {}".format(*pt, exc)) from exc
 
-    selected = _elbow_select(entries)
+    entries = [(*pt, models[reduced[pt]].fit_percent) for pt in points]
+    selected = _elbow_select([e for e in entries if reduced[e[:3]] == e[:3]])
     return ScreeResult(
         grid=tuple(entries),
         selected=selected,
         model=models[selected],
-        fits_at_max_iter=sum(not m.converged for m in models.values()),
+        fits_at_max_iter=sum(not models[reduced[pt]].converged for pt in points),
     )
 
 

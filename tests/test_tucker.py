@@ -4,22 +4,27 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscope import (
     DegenerateInputError,
     InvalidInputError,
     anova_interaction,
     fit_percent,
+    fold,
+    frobenius_norm,
     hooi,
     hosvd,
     load_model,
+    mode_multiply,
     reconstruct,
     save_model,
     scree_select,
     tensor3,
     unfold,
 )
-from triscope.tucker import TuckerModel
+from triscope.tucker import TuckerModel, _fix_signs, _reduced, _unfolding_basis
 
 
 def random_orthonormal(rng, rows, cols):
@@ -41,6 +46,32 @@ def planted_tensor(rng, dims, ranks, noise=0.0):
 
 def assert_orthonormal(f, tol=1e-8):
     np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=tol)
+
+
+def svd_leading(unf, k):
+    u = np.linalg.svd(unf, full_matrices=k > min(unf.shape))[0]
+    return _fix_signs(u[:, :k].copy())
+
+
+def oracle_hooi(x, p, q, r, tol=1e-6, max_iter=100):
+    """HOOI from thin SVDs of every unfolding with ``mode_multiply``
+    contractions; returns the fit percent."""
+    xnorm2 = frobenius_norm(x) ** 2
+    a, b, c = (svd_leading(unfold(x, mode), k) for mode, k in ((1, p), (2, q), (3, r)))
+    core = mode_multiply(mode_multiply(mode_multiply(x, a.T, 1), b.T, 2), c.T, 3)
+    fit_prev = 100.0 * frobenius_norm(core) ** 2 / xnorm2
+    for _ in range(max_iter):
+        a = svd_leading(unfold(mode_multiply(mode_multiply(x, b.T, 2), c.T, 3), 1), p)
+        xa = mode_multiply(x, a.T, 1)
+        b = svd_leading(unfold(mode_multiply(xa, c.T, 3), 2), q)
+        y = mode_multiply(xa, b.T, 2)
+        c = svd_leading(unfold(y, 3), r)
+        fit = 100.0 * frobenius_norm(mode_multiply(y, c.T, 3)) ** 2 / xnorm2
+        done = fit - fit_prev < tol
+        fit_prev = fit
+        if done:
+            break
+    return fit_prev
 
 
 class TestHosvd:
@@ -87,6 +118,16 @@ class TestHosvd:
                 params[vary] = k
                 fits.append(hosvd(x, *params).fit_percent)
             assert all(b >= a - 1e-9 for a, b in zip(fits, fits[1:]))
+
+    def test_tall_unfolding_past_its_columns(self):
+        """A rank above the column count of a tall unfolding still gets a
+        complete orthonormal basis."""
+        rng = np.random.default_rng(22)
+        x = tensor3(rng.normal(size=(7, 2, 3)))
+        m = hosvd(x, 7, 2, 3)
+        assert_orthonormal(m.factor_a)
+        assert abs(m.fit_percent - 100.0) < 1e-8
+        assert abs(hooi(x, 7, 2, 3).fit_percent - 100.0) < 1e-8
 
     def test_parameter_bounds(self):
         x = tensor3(np.ones((2, 2, 2)))
@@ -145,6 +186,28 @@ class TestHooi:
             hooi(x, 1, 1, 1, tol=0.0)
         with pytest.raises(InvalidInputError):
             hooi(x, 1, 1, 1, max_iter=0)
+
+
+class TestUnfoldingBasis:
+    @pytest.mark.parametrize(
+        "dims,mode",
+        [((4, 3, 5), 1), ((3, 6, 4), 2), ((2, 3, 9), 3), ((20, 2, 3), 1), ((2, 9, 2), 2), ((2, 2, 12), 3)],
+    )
+    def test_leading_vectors_match_svd(self, dims, mode):
+        """Wide and tall unfoldings with a clear spectral gap: the leading
+        vectors from the Gram matrix are the SVD's left singular vectors,
+        sign for sign under ``_fix_signs``."""
+        rng = np.random.default_rng(sum(dims) * mode)
+        rows = dims[mode - 1]
+        cols = dims[0] * dims[1] * dims[2] // rows
+        k = min(rows, cols)
+        s = 4.0 ** -np.arange(k)
+        unf = random_orthonormal(rng, rows, k) @ (s[:, None] * random_orthonormal(rng, cols, k).T)
+        x = tensor3(fold(unf, mode, dims))
+        basis = _unfolding_basis(x, mode)
+        assert_orthonormal(basis, tol=1e-12)
+        got = _fix_signs(basis[:, :k].copy())
+        np.testing.assert_allclose(got.T @ svd_leading(unfold(x, mode), k), np.eye(k), atol=1e-8)
 
 
 class TestFitPercent:
@@ -342,6 +405,50 @@ class TestScree:
         assert np.array_equal(m.core, refit.core)
         for f1, f2 in zip(m.factors(), refit.factors()):
             assert np.array_equal(f1, f2)
+
+
+GRID_CASES = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.one_of(st.none(), st.integers(1, 30)),
+)
+
+
+class TestScreeReducedTriples:
+    @settings(max_examples=60, deadline=None)
+    @given(GRID_CASES)
+    def test_each_model_fitted_once_and_selectable_only_unreduced(self, case):
+        seed, dims, bounds, budget = case
+        rng = np.random.default_rng(seed)
+        x = tensor3(rng.normal(size=dims))
+        bounds = tuple(min(b, d) for b, d in zip(bounds, dims))
+        res = scree_select(x, *bounds, sweep_budget=budget)
+        grid = {g[:3]: g[3] for g in res.grid}
+        assert _reduced(*res.selected) == res.selected
+        assert res.selected in grid
+        fresh = {}
+        for pqr, fit in grid.items():
+            red = _reduced(*pqr)
+            if red not in fresh:
+                fresh[red] = hooi(x, *red, max_iter=50).fit_percent
+            # a redundant row carries its reduced triple's fit, on the grid or off it
+            assert fit == fresh[red]
+            if red == pqr:
+                assert abs(fit - oracle_hooi(x, *pqr, max_iter=50)) < 1e-9
+        refit = hooi(x, *res.selected, max_iter=50)
+        assert res.model.fit_percent == refit.fit_percent
+        assert np.array_equal(res.model.core, refit.core)
+        for f1, f2 in zip(res.model.factors(), refit.factors()):
+            assert np.array_equal(f1, f2)
+
+    def test_reduced_triples_of_the_default_grid(self):
+        grid = [(p, q, r) for p in (1, 2, 3) for q in (1, 2, 3) for r in (1, 2, 3)]
+        reduced = {_reduced(*pqr) for pqr in grid}
+        assert len(reduced) == 15
+        assert all(p <= q * r and q <= p * r and r <= p * q for p, q, r in reduced)
+        assert _reduced(3, 1, 1) == (1, 1, 1)
+        assert _reduced(3, 2, 1) == (2, 2, 1)
 
 
 class TestModelSerialization:
