@@ -84,6 +84,10 @@ def cases(rng):
          mixed.integers(950, 1051, size=3)]
     ).tolist()
     yield "baum_welch B=560 mixed", backends.baum_welch_batch, batch_args(mixed, lengths)
+    # short sequences only, like a batch of hour fits alone (its own generator)
+    short = np.random.default_rng(2)
+    lengths = short.integers(5, 21, size=400).tolist()
+    yield "baum_welch B=400 T=5-20", backends.baum_welch_batch, batch_args(short, lengths)
     # n=400 d=144 is the trajectory shape of the many-users workload
     for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
         yield f"ward n={n} d={dim}", backends.ward_linkage, (rng.normal(size=(n, dim)),)

@@ -11,12 +11,13 @@ Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
 fits many sequences in one call and one EM loop per batch of at most
 ``_BATCH_CELLS`` = 2^16 chunk cells. The sequences sit unpadded in a
 ragged layout of 16-step chunks (see ``_Layout``), and each time step's
-arithmetic is done across every chunk at once. Long sequences run as a
-chunked two-level scan (see ``_chunk_starts``), and each sum over time is
-one ``np.bincount`` that adds in time order. The fits are pinned against a
-scalar-loop reference and, bit for bit, against the padded engine this one
-replaced, in ``tests/test_backends.py``; ``benchmarks/bench_backends.py``
-times the kernels.
+arithmetic is done across every chunk at once. Each EM iteration forms
+every chunk's transfer product once, and the forward and backward passes
+both run from them as a chunked two-level scan (see ``_chunk_ends``). Each
+sum over time is one ``np.bincount`` in an order fixed by the sequence's
+own length. ``tests/test_backends.py`` pins the fits against a scalar-loop
+reference, and bit for bit against the same sequences fitted alone or in
+other batches; ``benchmarks/bench_backends.py`` times the kernels.
 
 Ward has one implementation, :func:`ward_linkage`, in numpy: each node
 caches its nearest neighbour, so a merge costs O(n) plus the rows it
@@ -78,10 +79,6 @@ def viterbi_kernel(obs, log_trans, log_init, means, variances):
 _BATCH_CELLS = 1 << 16
 # steps per chunk of the ragged layout and of the blocked scan (see _Layout)
 _CHUNK = 16
-# a sequence of at most this many steps runs the plain per-step recursion:
-# on wide batches, up to four chunks save no time, because the transfer
-# products do more arithmetic per step
-_PLAIN_STEPS = 4 * _CHUNK
 
 
 def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_iter):
@@ -126,137 +123,118 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
 
 class _Layout:
     """The ragged chunk layout of ``S`` sequences of non-increasing lengths
-    ``L``, with ``n`` states.
+    ``L``.
 
-    Sequence ``k`` is cut into ``ceil(L[k] / K)`` chunks of ``K`` steps from
-    t = 0, so only its last chunk is padded. ``K`` is ``_CHUNK`` = 16, or
-    ``L[0]`` when every sequence is plain (at most ``_PLAIN_STEPS`` steps)
-    and one chunk each pads to no more cells than 16-step chunks would: the
-    plain recursion then runs without rounds. A cell array is (K, W) or
-    (K, n, W), one column per chunk, and the columns are chunk-major: block
-    ``c``, columns ``off[c]`` to ``off[c + 1]``, holds chunk ``c`` of every
-    sequence that has one, in length order. Each block is thus a prefix of
-    the sequences, and block 0 is all of them.
+    Sequence ``k`` is cut into ``C[k] = ceil(L[k] / 16)`` chunks of
+    ``_CHUNK`` = 16 steps from t = 0, so only its last chunk is padded. A
+    cell array is (16, W) or (16, n, W), one column per chunk, and the
+    columns are chunk-major: block ``c``, columns ``off[c]`` to
+    ``off[c + 1]``, holds chunk ``c`` of every sequence that has one, in
+    length order. Each block is thus a prefix of the sequences, and block 0
+    is all of them.
 
-    The same layout holds each sequence in its own reversed time, step
-    ``L - 1 - t`` in the cell of step ``t``. ``perm`` maps each cell of a
-    (K, n, W) array to the cell of the other end of time; the map is its
-    own inverse, so it serves both directions. Padding maps to the
-    sequence's step 0, which is also reversed step 0, where the backward
-    pass starts from uniform.
+    The blocked scan (see :func:`_chunk_ends`) runs on the first ``long``
+    sequences, those with more than one chunk, whose columns ``level1``
+    lists: block 0's first ``long`` columns, then every column from ``S``
+    on. Its carry has one entry per column ``S + p``, chunk ``c`` >= 1 of
+    sequence ``s``: forward, the vector leaving chunk ``c - 1`` times that
+    chunk's product (at ``pair[2p]``) gives the vector entering column
+    ``S + p``; backward, the vector leaving chunk ``C[s] - c`` times that
+    chunk's product (at ``pair[2p + 1]``) gives the vector leaving column
+    ``back[p]``, chunk ``C[s] - c - 1``.
     """
 
-    def __init__(self, L, n):
+    def __init__(self, L):
         S = self.S = L.size
-        top = int(L[0])
-        plain = top <= _PLAIN_STEPS and S * top <= _CHUNK * int((-(-L // _CHUNK)).sum())
-        K = self.K = top if plain else _CHUNK
-        chunks = -(-L // K)
+        chunks = -(-L // _CHUNK)
         per_block = np.searchsorted(-chunks, -np.arange(chunks[0]))  # sequences with chunk c
-        off = self.off = np.concatenate(([0], np.cumsum(per_block)))
+        off = np.concatenate(([0], np.cumsum(per_block)))
         W = self.W = int(off[-1])
-        chunk = np.repeat(np.arange(chunks[0]), per_block)
+        chunk = self.chunk = np.repeat(np.arange(chunks[0]), per_block)
         seq = self.seq = np.arange(W) - off[chunk]
-        t = chunk * K + np.arange(K)[:, None]
-        end = L[seq]
-        self.pad = t >= end
-        self.step = np.minimum(t, end - 1)
-        r = np.where(self.pad, 0, end - 1 - t)
-        self.perm = (r % K * (n * W) + off[r // K] + seq)[:, None, :] + np.arange(n)[:, None] * W
-        # bincount bins in time order (see sums): every step, or all but the last
-        self.all = np.where(self.pad, S, seq).T.ravel()
-        self.tr = np.where(t >= end - 1, S, seq).T.ravel()
-        self.last = ((L - 1) % K, off[chunks - 1] + np.arange(S))
-        # the column holding the step after each column's row K - 1
-        self.next = np.where(chunk + 1 < chunks[seq], off[np.minimum(chunk + 1, chunks[0])] + seq,
-                             np.arange(W))
-        # levels 1-2 of the blocked scan run on the non-last chunks of the
-        # sequences longer than _PLAIN_STEPS, the first ``long`` sequences;
-        # carry[c] of them have a chunk after chunk c
-        long = int(np.count_nonzero(L > _PLAIN_STEPS))
-        self.level1 = (seq < long) & (chunk < chunks[seq] - 1)
-        self.carry = [m for m in np.minimum(per_block[1:], long).tolist() if m]
-        # round r restarts chunk r of each plain sequence that has one (the
-        # columns lo to hi) from row K - 1 of its chunk r - 1 (from column
-        # prev), and runs only the rows that some of them fill
-        self.rounds = [
-            (int(off[r] + long), int(off[r] + per_block[r]), int(off[r - 1] + long),
-             min(K, int(L[long]) - K * r))
-            for r in range(1, min(int(chunks[0]), _PLAIN_STEPS // K))
-            if per_block[r] > long
-        ]
+        last = chunk + 1 == chunks[seq]  # each sequence's last chunk
+        self.pad = np.arange(_CHUNK)[:, None] >= np.minimum(L[seq] - chunk * _CHUNK, _CHUNK)
+        # bincount bins in row-major order (see sums), S for a cell left out:
+        # every step, or all but the last (arithmetic costs less than np.where)
+        bins = self.pad * (S - seq)
+        bins += seq
+        self.all = bins.ravel()
+        self.last = ((L - 1) % _CHUNK, off[chunks - 1] + np.arange(S))
+        self.tr = self.all.copy()
+        self.tr[self.last[0] * W + self.last[1]] = S
+        # the column holding the step after each column's row 15
+        self.next = np.where(last, np.arange(W), off[chunk + 1] + seq)
+        long = self.long = int(per_block[1]) if chunks[0] > 1 else 0
+        self.level1 = np.concatenate((np.arange(long), np.arange(S, W)))
+        c, s = chunk[S:], seq[S:]
+        fwd = off[c - 1] + s
+        fwd = np.where(fwd < S, fwd, fwd - (S - long))  # as positions in level1
+        bwd = off[chunks[s] - c] + s - (S - long)
+        self.pair = np.stack((fwd, bwd + long + W - S), axis=1).ravel()
+        self.back = off[chunks[s] - c - 1] + s
+        self.carry = (2 * per_block[1:]).tolist()  # carry columns per chunk end
 
     def sums(self, x, bins):
-        """Each sequence's sum of the cells of ``x`` (K, W) that ``bins``
-        keeps. ``np.bincount`` adds in input order, and each sequence's
-        cells go in in time order, so a sum equals a sequential cumulative
-        sum's value at its last step bit for bit."""
-        return np.bincount(bins, weights=x.T.ravel(), minlength=self.S + 1)[: self.S]
+        """Each sequence's sum of the cells of ``x`` (16, W) that ``bins``
+        keeps. ``np.bincount`` adds in input order, here the cells' row-major
+        order, so each sum adds its sequence's steps in an order fixed by
+        that sequence's length alone."""
+        return np.bincount(bins, weights=x.ravel(), minlength=self.S + 1)[: self.S]
 
 
-def _chunk_starts(e, mat, first, lay):
-    """Levels 1-2 of the blocked scan: the vector entering each column.
+def _chunk_ends(b, mat, init, lay):
+    """Levels 1-2 of the blocked scan, shared by both passes: the vectors at
+    row 15 of the chunks of the sequences with more than one chunk.
 
-    ``e`` (K, n, W) holds the emission factors and ``mat`` (n, n, W) the
-    step matrix of each column's sequence, in the layout ``lay``. A scan
-    maps its state vector ``y`` to ``normalize((y * e[t]) @ mat)`` at each
-    step; ``first`` (n, S) enters chunk 0. Level 1 forms the transfer
-    product of every non-last chunk of the sequences longer than
-    ``_PLAIN_STEPS`` at once in K steps, renormalized at each step because
-    emission factors are at most 1 and unnormalized products underflow.
-    Level 2 carries the entering vector across the chunk ends in order.
-    Returns (n, W); the plain sequences' later chunks get a uniform
-    placeholder, which the rounds of :func:`_forward` and :func:`_backward`
-    replace.
+    ``b`` (16, n, W) holds the emission factors and ``mat`` (n, n, W) the
+    transition matrix of each column's sequence, in the layout ``lay``.
+    Level 1 forms every chunk's transfer product ``H = T diag(b_0) ... T
+    diag(b_15)`` at once in 16 steps, renormalized at each step because
+    emission factors are at most 1 and unnormalized products underflow;
+    chunk 0's product starts from ``diag(b_0)``, so ``init`` (n, S) enters it
+    directly. The forward filter leaving chunk ``c`` is then
+    ``normalize(a @ H_c)`` from the one leaving chunk ``c - 1``, and the
+    backward vector leaving chunk ``c - 1`` is ``normalize(H_c @ v)`` from
+    the one leaving chunk ``c``, uniform in the last chunk, whose padding
+    has unit factors. Level 2 carries both at once across the chunk ends in
+    order, each sequence's forward and backward vectors in adjacent
+    columns, the backward ones through transposed products. Returns (n,
+    2(W - S)) in the order of ``lay.pair``.
     """
-    K, n, width = e.shape
-    starts = np.full((n, width), 1.0 / n)
-    starts[:, : first.shape[1]] = first
+    n = b.shape[1]
     if not lay.carry:
-        return starts
-    # np.compress, unlike a[:, :, mask], returns C-contiguous arrays
-    ec = np.compress(lay.level1, e, axis=2)
-    mc = np.compress(lay.level1, mat, axis=2)
-    prod = ec[0][:, None] * mc
-    for k in range(1, K):
-        pe = prod * ec[k]
-        prod = pe[:, 0, None] * mc[0]
+        return np.empty((n, 0))
+    ec = np.take(b, lay.level1, axis=2)
+    mc = np.take(mat, lay.level1, axis=2)
+    prod = mc * ec[0]
+    prod[:, :, : lay.long] = np.eye(n)[:, :, None] * ec[0, :, : lay.long]
+    for k in range(1, b.shape[0]):
+        nxt = prod[:, 0, None] * mc[0]
         for j in range(1, n):
-            prod += pe[:, j, None] * mc[j]
-        s = prod[0, 0]
+            nxt += prod[:, j, None] * mc[j]
+        nxt *= ec[k]
+        s = nxt[0, 0]
         for i in range(n):
             for j in range(n):
                 if i or j:
-                    s = s + prod[i, j]
-        prod /= s
-    y = first
+                    s = s + nxt[i, j]
+        prod = np.divide(nxt, s, out=nxt)
+    pair = np.take(np.concatenate((prod, prod.swapaxes(0, 1)), axis=2), lay.pair, axis=2)
+    out = np.empty((n, pair.shape[2]))
+    y = np.empty((n, 2 * lay.long))
+    y[:, 0::2] = init[:, : lay.long]
+    y[:, 1::2] = 1.0 / n
     p = 0
-    for c, m in enumerate(lay.carry):
-        v = y[0, :m] * prod[0, :, p : p + m]
+    for m in lay.carry:
+        v = y[0, :m] * pair[0, :, p : p + m]
         for i in range(1, n):
-            v += y[i, :m] * prod[i, :, p : p + m]
+            v += y[i, :m] * pair[i, :, p : p + m]
         s = v[0]
         for j in range(1, n):
             s = s + v[j]
-        lo = lay.off[c + 1]
-        y = starts[:, lo : lo + m] = v / s
+        y = out[:, p : p + m] = v / s
         p += m
-    return starts
-
-
-def _forward_steps(b, trans, raw, alpha, scale):
-    """Level 3 of the forward pass on columns of (K, n, ·) arrays: the
-    per-step recursion from ``raw``, the unnormalized step 0, in all
-    columns at once."""
-    for k in range(b.shape[0]):
-        if k:
-            raw = _predict(alpha[k - 1], trans)
-            raw *= b[k]
-        s = raw[0]
-        for i in range(1, raw.shape[0]):
-            s = s + raw[i]
-        np.divide(raw, s, out=alpha[k])
-        scale[k] = s
+    return out
 
 
 def _predict(a, trans):
@@ -267,69 +245,52 @@ def _predict(a, trans):
     return raw
 
 
-def _forward(b, trans, init, lay):
-    """Scaled forward pass on the emission factors ``b`` (K, n, W), with
-    ``trans`` (n, n, W) per column: level 3 runs in every column from its
-    entering prediction. Round r then restarts chunk r of the plain
-    sequences with one plain step from row K - 1 of their chunk r - 1.
-    Returns normalized ``alpha`` in the same layout and the per-step
-    ``scale`` (K, W)."""
+def _forward(b, trans, init, ends, lay):
+    """Scaled forward pass on the emission factors ``b`` (16, n, W), with
+    ``trans`` (n, n, W) per column: level 3 runs the per-step recursion in
+    every column at once, chunk 0 from ``init`` and each later chunk from
+    one step past the filter leaving the chunk before (``ends``, see
+    :func:`_chunk_ends`). Returns normalized ``alpha`` in the same layout
+    and the per-step ``scale`` (16, W)."""
+    K, n, W = b.shape
     alpha = np.empty_like(b)
-    scale = np.empty((b.shape[0], b.shape[2]))
-    _forward_steps(b, trans, _chunk_starts(b, trans, init, lay) * b[0], alpha, scale)
-    for lo, hi, prev, steps in lay.rounds:
-        b_r, t_r = _round_inputs(b, trans, lo, hi, steps)
-        a_r, s_r = np.empty_like(b_r), np.empty((steps, hi - lo))
-        raw = _predict(alpha[-1, :, prev : prev + hi - lo], t_r) * b_r[0]
-        _forward_steps(b_r, t_r, raw, a_r, s_r)
-        alpha[:steps, :, lo:hi], scale[:steps, lo:hi] = a_r, s_r
+    scale = np.empty((K, W))
+    raw = np.empty((n, W))
+    raw[:, : lay.S] = init
+    raw[:, lay.S :] = _predict(ends[:, 0::2], trans[:, :, lay.S :])
+    raw *= b[0]
+    for k in range(K):
+        if k:
+            raw = _predict(alpha[k - 1], trans)
+            raw *= b[k]
+        s = raw[0]
+        for i in range(1, n):
+            s = s + raw[i]
+        np.divide(raw, s, out=alpha[k])
+        scale[k] = s
     return alpha, scale
 
 
-def _round_inputs(b, trans, lo, hi, steps):
-    """C-contiguous copies of a round's factors and step matrices: ufuncs
-    on the strided column slices cost about twice as much per call."""
-    return np.ascontiguousarray(b[:steps, :, lo:hi]), np.ascontiguousarray(trans[:, :, lo:hi])
-
-
-def _back_step(b, beta, trans, out):
-    """One normalized backward step, ``trans @ (b * beta)`` per column,
-    into ``out``."""
-    nxt = b * beta
-    v = trans[:, 0] * nxt[0]
-    for j in range(1, nxt.shape[0]):
-        v += trans[:, j] * nxt[j]
-    s = v[0]
-    for i in range(1, v.shape[0]):
-        s = s + v[i]
-    np.divide(v, s, out=out)
-
-
-def _backward(b, trans, lay):
-    """Backward pass, normalized per step, in reversed time: ``b`` holds the
-    emission factors of each sequence read backward from its own last step,
-    in the layout of :func:`_forward`, and so does the returned ``beta``.
-    Each sequence starts from uniform at its own last step; rounds restart
-    the plain sequences' later chunks as in :func:`_forward`."""
+def _backward(b, trans, ends, lay):
+    """Backward pass, normalized per step, in the layout of
+    :func:`_forward`: row 15 of each column holds the backward vector
+    leaving its chunk (``ends``, see :func:`_chunk_ends`), uniform in each
+    sequence's last chunk, and level 3 runs rows 14 to 0 from it in every
+    column at once, each ``trans @ (b * beta)`` of the row after."""
     K, n, _ = b.shape
     beta = np.empty_like(b)
-    beta[0] = _chunk_starts(b, np.swapaxes(trans, 0, 1), np.full((n, lay.S), 1.0 / n), lay)
-    _backward_steps(b, trans, beta, K)
-    for lo, hi, prev, steps in lay.rounds:
-        b_r, t_r = _round_inputs(b, trans, lo, hi, steps)
-        beta_r = np.empty_like(b_r)
-        back = slice(prev, prev + hi - lo)
-        _back_step(b[-1, :, back], beta[-1, :, back], t_r, beta_r[0])
-        _backward_steps(b_r, t_r, beta_r, steps)
-        beta[:steps, :, lo:hi] = beta_r
+    beta[-1] = 1.0 / n
+    beta[-1][:, lay.back] = ends[:, 1::2]
+    for k in range(K - 2, -1, -1):
+        nxt = b[k + 1] * beta[k + 1]
+        v = trans[:, 0] * nxt[0]
+        for j in range(1, n):
+            v += trans[:, j] * nxt[j]
+        s = v[0]
+        for i in range(1, n):
+            s = s + v[i]
+        np.divide(v, s, out=beta[k])
     return beta
-
-
-def _backward_steps(b, trans, beta, steps):
-    """Level 3 of the backward pass on columns of (K, n, ·) arrays: rows 1
-    to ``steps - 1`` from row 0."""
-    for k in range(1, steps):
-        _back_step(b[k - 1], beta[k - 1], trans, beta[k])
 
 
 def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
@@ -337,27 +298,27 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     non-increasing length.
 
     The observations sit in the ragged chunk layout (see :class:`_Layout`),
-    each sequence's last chunk edge-padded. The scaled forward and backward
-    recursions run on all columns at once with explicit loops over states:
-    a sequence longer than ``_PLAIN_STEPS`` runs the blocked scan (see
-    :func:`_chunk_starts`), a shorter one the plain per-step recursion.
-    Every quantity of a sequence is computed from that sequence's first
-    ``L`` steps only, by the same operations in the same order whatever its
-    companions: forward chunks start at t = 0, the backward pass scans each
-    sequence in its own reversed time from uniform at its own last step, so
-    padding never feeds a real step, and every sum over time adds the
-    sequence's steps in time order. A sequence leaves the batch once its
-    log-likelihood gain drops below ``tol`` (or at ``max_iter``); its
-    parameters are recorded at once, and its columns are dropped after that
-    iteration's M-step.
+    each sequence's last chunk edge-padded. Each iteration forms the chunk
+    transfer products once, and both scaled recursions run from them as a
+    chunked two-level scan (see :func:`_chunk_ends`), on all columns at
+    once with explicit loops over states. Every quantity of a sequence is
+    computed from that sequence's first ``L`` steps only, by the same
+    operations in the same order whatever its companions: chunks start at
+    t = 0, the backward pass starts from uniform at row 15 of the
+    sequence's own last chunk, where padding has unit factors, and every
+    sum over time adds the sequence's steps in an order fixed by its length.
+    A sequence leaves the batch once its log-likelihood gain drops below
+    ``tol`` (or at ``max_iter``); its parameters are recorded at once, and
+    its columns are dropped after that iteration's M-step.
     """
     S = len(seqs)
     n = init.shape[1]
     L = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    lay = _Layout(L, n)
-    flat = np.concatenate(seqs)
-    first = np.cumsum(L) - L  # each sequence's offset in flat
-    obs = flat[first[lay.seq] + lay.step]  # each last chunk edge-padded
+    lay = _Layout(L)
+    step = np.minimum(lay.chunk * _CHUNK + np.arange(_CHUNK)[:, None], L[lay.seq] - 1)
+    first = np.cumsum(L) - L  # each sequence's offset in the concatenation
+    obs = np.concatenate(seqs)[first[lay.seq] + step]  # each last chunk edge-padded
+    del step, first
     # parameters with the sequence axis last: each per-state slice is a row
     trans = np.ascontiguousarray(np.moveaxis(trans, 0, -1))
     init = np.ascontiguousarray(init.T)
@@ -378,16 +339,17 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         log_var = np.take(np.log(variances), lay.seq, axis=1)
         mc = np.take(means, lay.seq, axis=1)
         vc = np.take(variances, lay.seq, axis=1)
-        b = np.empty((lay.K, n, lay.W))  # log-densities, then factors
+        b = np.empty((_CHUNK, n, lay.W))  # log-densities, then factors
         for i in range(n):
             d = obs - mc[i]
             b[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / vc[i])
         shifts = b.max(axis=1)
         np.exp(np.subtract(b, shifts[:, None], out=b), out=b)
-        # unit factors in the padding: its forward steps keep a positive sum
+        # unit factors in the padding: its steps keep a positive sum both ways
         np.copyto(b, 1.0, where=lay.pad[:, None, :])
 
-        alpha, scale = _forward(b, tc, init, lay)
+        ends = _chunk_ends(b, tc, init, lay)
+        alpha, scale = _forward(b, tc, init, ends, lay)
         ll = lay.sums(np.log(scale) + shifts, lay.all)
         del scale, shifts
 
@@ -408,11 +370,8 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
             if done.all():
                 break
 
-        # past a sequence's step 0 the reversed scan may divide 0 by 0 (a
-        # state no transition enters); those steps are never read back
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta = np.take(_backward(np.take(b, lay.perm), tc, lay), lay.perm)
-
+        beta = _backward(b, tc, ends, lay)
+        del ends
         gamma = alpha * beta
         gs = gamma[:, 0]
         for i in range(1, n):
@@ -421,7 +380,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         del gs
 
         # b becomes the factor of the step after each cell, in place; row
-        # K - 1 reads row 0 of the sequence's next chunk
+        # 15 reads row 0 of the sequence's next chunk
         np.multiply(b, beta, out=beta)
         b[:-1] = beta[1:]
         b[-1] = np.take(beta[0], lay.next, axis=1)
@@ -434,7 +393,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
                 if i or j:
                     ms = ms + m[i][j]
 
-        # M-step; every sum over time adds in time order (see _Layout.sums)
+        # M-step; every sum over time adds in a fixed order (see _Layout.sums)
         gsum_tr = [lay.sums(gamma[:, i], lay.tr) for i in range(n)]
         gsum_all = [s + gamma[lay.last[0], i, lay.last[1]] for i, s in enumerate(gsum_tr)]
         init = gamma[0, :, : rows.size].copy()
@@ -460,12 +419,13 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
 
         if done.any():
             keep = ~done
-            rows, L, ll, first = rows[keep], L[keep], ll[keep], first[keep]
+            rows, L, ll = rows[keep], L[keep], ll[keep]
             trans = np.compress(keep, trans, axis=2)
             init, means, variances = (np.compress(keep, a, axis=1)
                                       for a in (init, means, variances))
-            lay = _Layout(L, n)
-            obs = flat[first[lay.seq] + lay.step]
+            # the live sequences' columns keep their order in the new layout
+            obs = np.compress(keep[lay.seq], obs, axis=1)
+            lay = _Layout(L)
         prev_ll = ll
 
     return out_trans, out_init, out_means, out_vars, hists

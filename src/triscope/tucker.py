@@ -177,13 +177,16 @@ def hosvd(x: np.ndarray, p: int, q: int, r: int, _bases=None) -> TuckerModel:
     """
     x = tensor3(x)
     _check_params(x, p, q, r)
-    ranks = (int(p), int(q), int(r))
-    xnorm2 = frobenius_norm(x) ** 2
+    return _hosvd(x, (int(p), int(q), int(r)), frobenius_norm(x) ** 2, _bases)
+
+
+def _hosvd(x: np.ndarray, ranks: tuple[int, int, int], xnorm2: float, bases) -> TuckerModel:
+    """:func:`hosvd` of a validated ``x`` whose squared norm is ``xnorm2``."""
     if xnorm2 == 0.0:
         raise DegenerateInputError("cannot fit a Tucker model to the zero tensor")
-    if _bases is None:
-        _bases = [_unfolding_basis(x, mode, k) for mode, k in zip((1, 2, 3), ranks)]
-    a, b, c = (_fix_signs(u[:, :k].copy()) for u, k in zip(_bases, ranks))
+    if bases is None:
+        bases = [_unfolding_basis(x, mode, k) for mode, k in zip((1, 2, 3), ranks)]
+    a, b, c = (_fix_signs(u[:, :k].copy()) for u, k in zip(bases, ranks))
     core = _project(x, a, b, c)
     fit = 100.0 * (frobenius_norm(core) ** 2) / xnorm2
     return TuckerModel(core, a, b, c, float(fit))
@@ -211,13 +214,14 @@ def hooi(
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
-    model = hosvd(x, p, q, r, _bases=_bases)
     x = tensor3(x)
+    _check_params(x, p, q, r)
+    xnorm2 = frobenius_norm(x) ** 2
+    model = _hosvd(x, (int(p), int(q), int(r)), xnorm2, _bases)
     i, j, k = x.shape
     p, q, r = model.p, model.q, model.r
     x1 = x.reshape(i, j * k)
     x3 = x.reshape(i * j, k)
-    xnorm2 = frobenius_norm(x) ** 2
     a, b, c = model.factors()
     fit_prev = model.fit_percent
     core = model.core

@@ -230,12 +230,12 @@ class TestBaumWelch:
         seqs = [series(1000, 2.0), series(300, 5.0), series(150, 3.0), series(140, 1.0),
                 series(120, 8.0), np.full(50, 4.0), series(40, 6.0), series(6, 1.0),
                 series(400, 2.0), series(260, 3.0), series(230, 4.0), series(201, 7.0),
-                series(backends._PLAIN_STEPS, 2.0), series(backends._PLAIN_STEPS + 10, 3.0)]
+                series(4 * backends._CHUNK, 2.0), series(4 * backends._CHUNK + 10, 3.0)]
         batch = baum_welch_many(seqs)
         # companions stop at different iterations, so sequences leave the batch
         assert len({len(m.loglik_history) for m in batch}) > 2
         for k in (2, 10):
-            assert len(seqs[k]) > backends._PLAIN_STEPS
+            assert len(seqs[k]) > backends._CHUNK  # more than one chunk
             alone = baum_welch(seqs[k])
             for name in ("trans", "init", "means", "variances", "loglik_history"):
                 np.testing.assert_array_equal(getattr(batch[k], name), getattr(alone, name))
