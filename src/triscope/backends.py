@@ -405,8 +405,11 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
                 rs = row[0]
                 for j in range(1, n):
                     rs = rs + row[j]
+                # a row whose expected transitions all underflow keeps its
+                # values, like a state never visited before the last step
+                seen = (gsum_tr[i] > 0.0) & (rs > 0.0)
                 for j in range(n):
-                    trans[i, j] = np.where(gsum_tr[i] > 0.0, row[j] / rs, trans[i, j])
+                    trans[i, j] = np.where(seen, row[j] / rs, trans[i, j])
             for i in range(n):
                 g = gamma[:, i]
                 mu = lay.sums(g * obs, lay.all) / gsum_all[i]

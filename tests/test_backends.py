@@ -142,10 +142,10 @@ def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_ite
             denom = 0.0
             for t in range(T - 1):
                 denom += gamma[t, i]
-            if denom > 0.0:
-                rs = 0.0
-                for j in range(n):
-                    rs += xi_sum[i, j]
+            rs = 0.0
+            for j in range(n):
+                rs += xi_sum[i, j]
+            if denom > 0.0 and rs > 0.0:
                 for j in range(n):
                     trans[i, j] = xi_sum[i, j] / rs
         for i in range(n):
