@@ -4,7 +4,8 @@ Baum-Welch kernels, the Ward kernel, the tensor text writer and the Tucker3
 scree.
 
 Runs each kernel on representative inputs and reports its median per-call
-time (the writer writes to the null device).
+time (the writer writes to the null device), and for each Baum-Welch batch
+the EM steps (M-steps) of its fits.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
@@ -45,10 +46,19 @@ def hmm_case(rng, t):
     return obs, trans, init, means, variances
 
 
-def batch_args(rng, lengths):
+def slow_case(rng, t):
+    """Regimes of 50 steps whose emissions overlap, from a sticky start: EM
+    creeps, so most fits run many iterations."""
+    regime = np.repeat(rng.integers(0, 2, t // 50 + 1), 50)[:t]
+    obs = rng.normal(np.where(regime == 1, 11.0, 10.0), 3.0)
+    trans = np.array([[0.999, 0.001], [0.001, 0.999]])
+    return obs, trans, np.array([0.5, 0.5]), np.array([9.0, 13.0]), np.array([9.0, 9.0])
+
+
+def batch_args(rng, lengths, case=hmm_case):
     """Arguments of the batched Baum-Welch entry point for one sequence per
     length (tol 1e-6, at most 200 EM iterations)."""
-    per_seq = [hmm_case(rng, t) for t in lengths]
+    per_seq = [case(rng, t) for t in lengths]
     obs = [c[0] for c in per_seq]
     params = [np.array([c[k] for c in per_seq]) for k in range(1, 5)]
     return (obs, *params, np.full(len(lengths), 1e-9), 1e-6, 200)
@@ -88,6 +98,10 @@ def cases(rng):
     short = np.random.default_rng(2)
     lengths = short.integers(5, 21, size=400).tolist()
     yield "baum_welch B=400 T=5-20", backends.baum_welch_batch, batch_args(short, lengths)
+    # slowly converging fits of several chunks each (its own generator)
+    slow = np.random.default_rng(3)
+    lengths = slow.integers(150, 401, size=50).tolist()
+    yield "baum_welch B=50 slow", backends.baum_welch_batch, batch_args(slow, lengths, slow_case)
     # n=400 d=144 is the trajectory shape of the many-users workload
     for n, dim in ((120, 64), (400, 16), (400, 144), (1000, 96)):
         yield f"ward n={n} d={dim}", backends.ward_linkage, (rng.normal(size=(n, dim)),)
@@ -112,10 +126,11 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"{'kernel':<26} {'time (ms)':>12}")
-    print("-" * 39)
+    print(f"{'kernel':<26} {'time (ms)':>12} {'EM steps':>10}")
+    print("-" * 50)
     for name, fn, call_args in cases(rng):
-        print(f"{name:<26} {median_time(fn, call_args, args.repeats) * 1e3:>12.3f}")
+        steps = fn(*call_args)[6][:, 0].sum() if fn is backends.baum_welch_batch else ""
+        print(f"{name:<26} {median_time(fn, call_args, args.repeats) * 1e3:>12.3f} {steps:>10}")
 
 
 if __name__ == "__main__":

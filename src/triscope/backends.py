@@ -11,13 +11,16 @@ Baum-Welch is exposed as one batch entry point, ``baum_welch_batch``, that
 fits many sequences in one call and one EM loop per batch of at most
 ``_BATCH_CELLS`` = 2^16 chunk cells. The sequences sit unpadded in a
 ragged layout of 16-step chunks (see ``_Layout``), and each time step's
-arithmetic is done across every chunk at once. Each EM iteration forms
-every chunk's transfer product once, and the forward and backward passes
-both run from them as a chunked two-level scan (see ``_chunk_ends``). Each
-sum over time is one ``np.bincount`` in an order fixed by the sequence's
-own length. ``tests/test_backends.py`` pins the fits against a scalar-loop
-reference, and bit for bit against the same sequences fitted alone or in
-other batches; ``benchmarks/bench_backends.py`` times the kernels.
+arithmetic is done across every chunk at once. Each EM round forms every
+chunk's transfer product once, and the forward and backward passes both
+run from them as a chunked two-level scan (see ``_chunk_ends``). Each sum
+over time is one ``np.bincount`` in an order fixed by the sequence's own
+length. Fits of more than one chunk take squared extrapolation (SqS3)
+steps, in lockstep cycles of three rounds, and the others run plain EM
+(see ``_em``). ``tests/test_backends.py`` pins the fits against a
+scalar-loop reference of the same cycle, and bit for bit against the same
+sequences fitted alone or in other batches; ``benchmarks/bench_backends.py``
+times the kernels.
 
 Ward has one implementation, :func:`ward_linkage`, in numpy: each node
 caches its nearest neighbour, so a merge costs O(n) plus the rows it
@@ -79,6 +82,9 @@ def viterbi_kernel(obs, log_trans, log_init, means, variances):
 _BATCH_CELLS = 1 << 16
 # steps per chunk of the ragged layout and of the blocked scan (see _Layout)
 _CHUNK = 16
+# rounding an extrapolated probability or variance may take below 0 or the
+# floor (relative) and still be clipped there: boundary values cancel to 0
+_SLOP = 1e-12
 
 
 def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_iter):
@@ -89,10 +95,13 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
     Sequences are sorted by length, longest first, and fitted in batches of
     at most ``_BATCH_CELLS`` chunk cells, each in one EM loop (see
     :func:`_em`); each result is bit-identical to fitting its sequence
-    alone. Returns ``(trans, init, means, variances, hists)`` with the
-    parameters stacked as on input and ``hists`` a list of per-sequence
-    log-likelihood histories (one entry per evaluated parameter set; the last
-    entry always corresponds to the returned parameters).
+    alone. Returns ``(trans, init, means, variances, hists, converged,
+    counts)`` with the parameters stacked as on input, ``hists`` a list of
+    per-sequence log-likelihood histories (one entry per accepted evaluation,
+    non-decreasing; the last entry always corresponds to the returned
+    parameters), ``converged`` (B,) False for a fit stopped after
+    ``max_iter`` M-steps, and ``counts`` (B, 4): each fit's M-steps and its
+    extrapolations accepted, rejected and fallen back.
     """
     trans = np.array(trans, dtype=np.float64)
     init = np.array(init, dtype=np.float64)
@@ -100,6 +109,7 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
     variances = np.array(variances, dtype=np.float64)
     var_floor = np.asarray(var_floor, dtype=np.float64)
     hists = [None] * len(seqs)
+    counts = np.zeros((len(seqs), 4), dtype=np.int64)
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     cells = (-(-lengths[order] // _CHUNK) * _CHUNK).tolist()
@@ -117,8 +127,9 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
         trans[idx], init[idx], means[idx], variances[idx] = out[:4]
         for k, h in zip(idx, out[4]):
             hists[k] = h
+        counts[idx] = out[5]
         start = stop
-    return trans, init, means, variances, hists
+    return trans, init, means, variances, hists, counts[:, 0] < max_iter, counts
 
 
 class _Layout:
@@ -293,23 +304,76 @@ def _backward(b, trans, ends, lay):
     return beta
 
 
+def _views(theta, n):
+    """``trans`` (n, n, S), ``init``, ``means`` and ``variances`` (n, S) as
+    views of the parameter columns ``theta`` (n * n + 3n, S)."""
+    k = n * n
+    return theta[:k].reshape(n, n, -1), theta[k : k + n], theta[k + n : k + 2 * n], theta[k + 2 * n :]
+
+
+def _squarem(t0, t1, t2, floor, n):
+    """The SqS3 point ``θ0 − 2αr + α²v`` of each column of three successive
+    EM points (Varadhan & Roland 2008), ``r = θ1 − θ0``, ``v = θ2 − 2θ1 +
+    θ0`` and ``α = −‖r‖/‖v‖`` capped at −1, and whether it is finite with no
+    negative probability and no variance below ``floor``, up to ``_SLOP``
+    (and then clipped). The coordinates
+    are the transitions, ``init``, the means over the root of θ0's mean
+    variance and the log variances; the norms add them in order, so a
+    column's arithmetic never depends on the others."""
+    k = n * n + n
+    s2 = t0[k + n]
+    for i in range(1, n):
+        s2 = s2 + t0[k + n + i]
+    scale = np.sqrt(s2 / n)
+    with np.errstate(all="ignore"):
+        u0, u1, u2 = (np.concatenate((t[:k], t[k : k + n] / scale, np.log(t[k + n :])))
+                      for t in (t0, t1, t2))
+        r = u1 - u0
+        v = (u2 - 2.0 * u1) + u0
+        rr, vv = r[0] * r[0], v[0] * v[0]
+        for j in range(1, r.shape[0]):
+            rr = rr + r[j] * r[j]
+            vv = vv + v[j] * v[j]
+        alpha = np.minimum(-np.sqrt(rr) / np.sqrt(vv), -1.0)
+        u = (u0 - 2.0 * alpha * r) + alpha * alpha * v
+        out = np.concatenate((u[:k], u[k : k + n] * scale, np.exp(u[k + n :])))
+        ok = np.isfinite(out).all(axis=0) & (out[:k] >= -_SLOP).all(axis=0)
+        ok &= (out[k + n :] >= floor * (1.0 - _SLOP)).all(axis=0)
+        np.maximum(out[:k], 0.0, out=out[:k])
+        np.maximum(out[k + n :], floor, out=out[k + n :])
+    return out, ok
+
+
 def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     """One batch of :func:`baum_welch_batch`; ``seqs`` are sorted by
     non-increasing length.
 
     The observations sit in the ragged chunk layout (see :class:`_Layout`),
-    each sequence's last chunk edge-padded. Each iteration forms the chunk
-    transfer products once, and both scaled recursions run from them as a
-    chunked two-level scan (see :func:`_chunk_ends`), on all columns at
-    once with explicit loops over states. Every quantity of a sequence is
-    computed from that sequence's first ``L`` steps only, by the same
-    operations in the same order whatever its companions: chunks start at
-    t = 0, the backward pass starts from uniform at row 15 of the
-    sequence's own last chunk, where padding has unit factors, and every
-    sum over time adds the sequence's steps in an order fixed by its length.
-    A sequence leaves the batch once its log-likelihood gain drops below
-    ``tol`` (or at ``max_iter``); its parameters are recorded at once, and
-    its columns are dropped after that iteration's M-step.
+    each sequence's last chunk edge-padded. Each round evaluates every live
+    fit's parameters (E-step) and M-steps them: it forms the chunk transfer
+    products once, and both scaled recursions run from them as a chunked
+    two-level scan (see :func:`_chunk_ends`), on all columns at once with
+    explicit loops over states. Every quantity of a sequence is computed
+    from that sequence's first ``L`` steps only, by the same operations in
+    the same order whatever its companions: chunks start at t = 0, the
+    backward pass starts from uniform at row 15 of the sequence's own last
+    chunk, where padding has unit factors, and every sum over time adds the
+    sequence's steps in an order fixed by its length.
+
+    Round ``r`` is phase ``r % 3`` of every fit's SqS3 cycle: phase 0
+    evaluates θ0 and M-steps it to θ1, phase 1 evaluates θ1 and M-steps it
+    to θ2, and the fits with more than one chunk then move to the
+    extrapolated θ' (see :func:`_squarem`), which phase 2 evaluates. θ' is
+    accepted when its log-likelihood is at least θ1's, and M-stepped on;
+    otherwise it is rejected, its evaluation leaves no history entry, and
+    the fit goes on from θ2. A fit with one chunk, an unusable θ' or a next
+    round that is its last falls back: phase 2 evaluates θ2, so one-chunk
+    fits run plain EM. A fit stops when an evaluation that follows a plain
+    M-step gains less than ``tol``, or after ``max_iter`` M-steps; its
+    parameters are recorded at once, and its columns are dropped after that
+    round's M-step. Returns the parameters, the histories of accepted
+    evaluations and (S, 4) counts: M-steps, extrapolations accepted,
+    rejected and fallen back.
     """
     S = len(seqs)
     n = init.shape[1]
@@ -319,20 +383,20 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     first = np.cumsum(L) - L  # each sequence's offset in the concatenation
     obs = np.concatenate(seqs)[first[lay.seq] + step]  # each last chunk edge-padded
     del step, first
-    # parameters with the sequence axis last: each per-state slice is a row
-    trans = np.ascontiguousarray(np.moveaxis(trans, 0, -1))
-    init = np.ascontiguousarray(init.T)
-    means = np.ascontiguousarray(means.T)
-    variances = np.ascontiguousarray(variances.T)
+    # each sequence's parameters in one column, so that a point of the
+    # cycle is one copy; the M-step writes them in place through the views
+    theta = np.concatenate((trans.reshape(S, n * n), init, means, variances), axis=1).T.copy()
+    trans, init, means, variances = _views(theta, n)
 
-    out_trans = np.empty((S, n, n))
-    out_init = np.empty((S, n))
-    out_means = np.empty((S, n))
-    out_vars = np.empty((S, n))
-    hist = np.empty((1, S))  # doubles as iterations go, up to max_iter + 1 rows
+    out = np.empty_like(theta)  # each fit's parameters when it stops
+    hist = np.empty((1, S))  # doubles as rounds go, up to max_iter + 1 rows
+    hlen = np.zeros(S, dtype=np.int64)  # entries of each fit's history
     hists = [None] * S
+    counts = np.zeros((S, 4), dtype=np.int64)
     rows = np.arange(S)  # batch position of each live sequence
-    prev_ll = None
+    trial = np.zeros(S, dtype=bool)  # live fits evaluating an extrapolation
+    saved = []  # this cycle's points θ0 and θ1, then θ2
+    prev_ll = np.full(S, np.nan)  # each live fit's last accepted log-likelihood
 
     for it in range(max_iter + 1):
         tc = np.take(trans, lay.seq, axis=2)
@@ -353,22 +417,27 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         ll = lay.sums(np.log(scale) + shifts, lay.all)
         del scale, shifts
 
+        accept = ~trial
+        if trial.any():
+            accept |= ll >= prev_ll
+            counts[rows[trial], 1] += accept[trial]
+            counts[rows[trial], 2] += ~accept[trial]
         if it == hist.shape[0]:
             hist = np.concatenate([hist, np.empty((min(it, max_iter + 1 - it), S))])
-        hist[it, rows] = ll
-        done = np.full(rows.size, it == max_iter)
-        if prev_ll is not None:
-            done |= (ll - prev_ll) < tol
+        hist[hlen[rows[accept]], rows[accept]] = ll[accept]
+        hlen[rows[accept]] += 1
+        done = (it == max_iter) | (~trial & ((ll - prev_ll) < tol))
+        prev_ll = np.where(accept, ll, prev_ll)
         if done.any():
             fin = rows[done]
-            out_trans[fin] = np.moveaxis(trans[:, :, done], -1, 0)
-            out_init[fin] = init[:, done].T
-            out_means[fin] = means[:, done].T
-            out_vars[fin] = variances[:, done].T
+            out[:, fin] = theta[:, done]
             for k in fin:
-                hists[k] = hist[: it + 1, k].copy()
+                hists[k] = hist[: hlen[k], k].copy()
+            counts[fin, 0] = it
             if done.all():
                 break
+        if it % 3 < 2:
+            saved.append(theta.copy())
 
         beta = _backward(b, tc, ends, lay)
         del ends
@@ -396,7 +465,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         # M-step; every sum over time adds in a fixed order (see _Layout.sums)
         gsum_tr = [lay.sums(gamma[:, i], lay.tr) for i in range(n)]
         gsum_all = [s + gamma[lay.last[0], i, lay.last[1]] for i, s in enumerate(gsum_tr)]
-        init = gamma[0, :, : rows.size].copy()
+        init[...] = gamma[0, :, : rows.size]
         floor = var_floor[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(n):
@@ -420,18 +489,29 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
                 variances[i] = np.where(ok, np.where(var > floor, var, floor), variances[i])
         del gamma, m, ms  # freed before the next iteration's passes
 
+        if it % 3 == 2:  # a rejected extrapolation goes on from θ2
+            back = trial & ~accept
+            theta[:, back] = saved[0][:, back]
+            saved = []
         if done.any():
-            keep = ~done
-            rows, L, ll = rows[keep], L[keep], ll[keep]
-            trans = np.compress(keep, trans, axis=2)
-            init, means, variances = (np.compress(keep, a, axis=1)
-                                      for a in (init, means, variances))
+            live = ~done
+            rows, L, prev_ll = rows[live], L[live], prev_ll[live]
+            theta, *saved = (np.compress(live, a, axis=1) for a in (theta, *saved))
+            trans, init, means, variances = _views(theta, n)
             # the live sequences' columns keep their order in the new layout
-            obs = np.compress(keep[lay.seq], obs, axis=1)
+            obs = np.compress(live[lay.seq], obs, axis=1)
             lay = _Layout(L)
-        prev_ll = ll
+        trial = np.zeros(rows.size, dtype=bool)
+        if it % 3 == 1:
+            point, ok = _squarem(*saved, theta, var_floor[rows], n)
+            multi = L > _CHUNK
+            trial = multi & ok & (it + 1 < max_iter)
+            counts[rows[multi & ~trial], 3] += 1
+            saved = [theta.copy()]
+            theta[:, trial] = point[:, trial]
 
-    return out_trans, out_init, out_means, out_vars, hists
+    trans, init, means, variances = _views(out, n)
+    return np.moveaxis(trans, -1, 0), init.T, means.T, variances.T, hists, counts
 
 
 def ward_linkage(points):

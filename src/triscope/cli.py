@@ -388,9 +388,12 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
     hourly = compute_deltas(log)
     hmm = HmmConfig(min_obs=cfg.min_obs, tol=cfg.hmm_tol, max_iter=cfg.hmm_max_iter)
     ft = build_feature_tensor(hourly, hmm)
+    steps, accepted, rejected, fell_back = ft.hmm_em_counts
     print(
         f"ingest: {ft.hmm_fits_at_max_iter} of {ft.hmm_fits} HMM fits reached "
-        f"max_iter={cfg.hmm_max_iter}",
+        f"max_iter={cfg.hmm_max_iter}\n"
+        f"ingest: {steps} EM steps; extrapolations {accepted} accepted, {rejected} "
+        f"rejected, {fell_back} fallen back",
         file=sys.stderr,
     )
     ft = preprocess(ft)

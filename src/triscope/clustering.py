@@ -164,6 +164,15 @@ def center_trajectory(trajectories: Trajectories, labels) -> Trajectories:
     return Trajectories(tuple(str(c) for c in range(k)), coords)
 
 
+def _median(x: np.ndarray) -> np.ndarray:
+    """``np.median(x, axis=0)`` bit for bit, without the ``numpy.ma``
+    import that ``np.median`` pays on its first call: the middle of each
+    sorted column, or the mean of the two middle values for an even count."""
+    s = np.sort(x, axis=0)
+    k = s.shape[0] // 2
+    return s[k] if s.shape[0] % 2 else (s[k - 1] + s[k]) / 2
+
+
 def detect_events(
     coords: np.ndarray,
     cluster_id: str = "center",
@@ -194,13 +203,13 @@ def detect_events(
         raise InvalidInputError(
             f"center must be a finite (hours, components) array, got {coords.shape}"
         )
-    midpoint = np.median(coords, axis=0)
+    midpoint = _median(coords)
     dev = np.linalg.norm(coords - midpoint[None, :], axis=1)
     if float(dev.max()) == float(dev.min()):
         return EventScan(windows=(), degenerate=True)
 
-    med = float(np.median(dev))
-    mad = float(np.median(np.abs(dev - med)))
+    med = float(_median(dev))
+    mad = float(_median(np.abs(dev - med)))
     scale = mad if mad > 0 else 1.0
     flagged = dev > med + k_mad * mad
 

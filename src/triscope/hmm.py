@@ -4,7 +4,9 @@ Likelihood via the scaled forward recursion and decoding via log-space
 Viterbi, for an :class:`HmmModel` with any number of states, and two-state
 Baum-Welch fits: :func:`baum_welch_many` fits many sequences in one batched
 call, start-up included, and returns them stacked as :class:`HmmFits`. All
-run on the numpy kernels of :mod:`triscope.backends`.
+run on the numpy kernels of :mod:`triscope.backends`: EM with squared
+extrapolation (SqS3) steps for sequences of more than 16 steps, plain EM for
+the others, ``max_iter`` counting M-steps either way.
 
 State order is canonical when the means are non-decreasing (the variance
 breaking ties); fits come back canonical and :func:`extract_features`
@@ -47,10 +49,12 @@ class HmmModel:
 
     Emissions are one Gaussian per state, described by ``means`` and
     ``variances``. ``degenerate`` marks models produced from constant
-    observation sequences; ``loglik_history`` holds the per-iteration
-    log-likelihoods of the Baum-Welch fit that produced the model (empty for
-    hand-built models). ``converged`` is False for a fit that stopped at
-    ``max_iter``, its history then holding ``max_iter + 1`` entries.
+    observation sequences; ``loglik_history`` holds the log-likelihoods of
+    the accepted parameter sets of the Baum-Welch fit that produced the
+    model, non-decreasing (empty for hand-built models): a rejected
+    extrapolation leaves no entry. ``converged`` is False for a fit that
+    stopped after ``max_iter`` M-steps, its history then holding
+    ``max_iter + 1`` entries less one per rejected extrapolation.
     """
 
     trans: np.ndarray
@@ -100,7 +104,9 @@ class HmmFits:
     ``trans`` is (F, 2, 2) and ``init``, ``means`` and ``variances`` are
     (F, 2). ``degenerate`` (F,) marks constant sequences and ``converged``
     (F,) is False for a fit that stopped at ``max_iter``. ``histories[k]``
-    holds fit ``k``'s log-likelihoods, one per evaluated parameter set.
+    holds fit ``k``'s log-likelihoods, one per accepted parameter set, and
+    ``em_counts`` (F, 4) its M-steps and its extrapolations accepted,
+    rejected and fallen back to the plain step (zeros for a constant one).
     ``fits[k]`` is fit ``k`` as an :class:`HmmModel`, and iterating gives
     them all in order.
     """
@@ -112,6 +118,7 @@ class HmmFits:
     degenerate: np.ndarray
     converged: np.ndarray
     histories: tuple[np.ndarray, ...]
+    em_counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.histories)
@@ -245,7 +252,9 @@ def baum_welch_many(sequences, tol: float = 1e-6, max_iter: int = 200) -> HmmFit
     trans, init, means, variances, floor, constant = _start(obs, lengths)
     hists = [None] * len(obs)
     fit = np.flatnonzero(~constant)
-    *params, fit_hists = backends.baum_welch_batch(
+    converged = np.ones(len(obs), dtype=bool)
+    counts = np.zeros((len(obs), 4), dtype=np.int64)
+    *params, fit_hists, converged[fit], counts[fit] = backends.baum_welch_batch(
         [obs[k] for k in fit], trans[fit], init[fit], means[fit], variances[fit],
         floor[fit], float(tol), int(max_iter),
     )
@@ -256,8 +265,7 @@ def baum_welch_many(sequences, tol: float = 1e-6, max_iter: int = 200) -> HmmFit
         hists[k] = np.array([backends.forward_loglik(obs[k], trans[k], init[k], means[k], variances[k])])
     if not (np.isfinite(means).all() and np.isfinite(variances).all()):
         raise NumericalError("Baum-Welch produced non-finite emission parameters")
-    converged = np.array([h.size <= max_iter for h in hists], dtype=bool)
-    return HmmFits(*_canonical(trans, init, means, variances), constant, converged, tuple(hists))
+    return HmmFits(*_canonical(trans, init, means, variances), constant, converged, tuple(hists), counts)
 
 
 def extract_features(model: HmmModel) -> np.ndarray:

@@ -131,8 +131,10 @@ class FeatureTensor:
     ``scale_mean``/``scale_sd`` are set by :func:`preprocess` (raw per-feature
     moments, so the transform is invertible; constant features record sd 0
     and are only centered). ``hmm_fits`` counts the HMM fits behind the
-    tensor and ``hmm_fits_at_max_iter`` those that stopped at ``max_iter``
-    (both set by :func:`build_feature_tensor`).
+    tensor, ``hmm_fits_at_max_iter`` those that stopped at ``max_iter`` and
+    ``hmm_em_counts`` sums their EM M-steps and extrapolations accepted,
+    rejected and fallen back (see :class:`~triscope.hmm.HmmFits`); all three are set
+    by :func:`build_feature_tensor`.
     """
 
     tensor: np.ndarray
@@ -143,6 +145,7 @@ class FeatureTensor:
     scale_sd: np.ndarray | None = None
     hmm_fits: int = 0
     hmm_fits_at_max_iter: int = 0
+    hmm_em_counts: tuple[int, ...] = (0, 0, 0, 0)
 
     def __post_init__(self):
         t = np.asarray(self.tensor, dtype=np.float64)
@@ -375,6 +378,7 @@ def build_feature_tensor(hourly: HourlyDeltas, config: HmmConfig = HmmConfig()) 
     return FeatureTensor(
         x, tuple(hourly.user_ids), FEATURE_NAMES, provenance=prov, hmm_fits=len(fits),
         hmm_fits_at_max_iter=int((~fits.converged).sum()),
+        hmm_em_counts=tuple(fits.em_counts.sum(axis=0).tolist()),
     )
 
 

@@ -44,17 +44,58 @@ def absorbing_case(rng, t):
     return obs, trans, np.array([0.5, 0.5]), np.array([5.0, 200.0]), np.array([1.0, 1.0])
 
 
+def _squarem_loop(p0, p1, p2, var_floor):
+    """The SqS3 point of three successive EM points ``(trans, init, means,
+    variances)`` as a scalar loop over the coordinates, and whether it is
+    usable: the engine's ``_squarem`` for one sequence."""
+    n = p0[1].shape[0]
+    scale = np.sqrt(sum(p0[3]) / n)
+
+    def coords(p):
+        trans, init, means, variances = p
+        return ([trans[i, j] for i in range(n) for j in range(n)] + list(init)
+                + [m / scale for m in means] + [np.log(v) for v in variances])
+
+    with np.errstate(all="ignore"):
+        u0, u1, u2 = coords(p0), coords(p1), coords(p2)
+        r = [b - a for a, b in zip(u0, u1)]
+        v = [(c - 2.0 * b) + a for a, b, c in zip(u0, u1, u2)]
+        rr = vv = np.float64(0.0)
+        for x, y in zip(r, v):
+            rr += x * x
+            vv += y * y
+        alpha = min(-np.sqrt(rr) / np.sqrt(vv), -1.0)
+        u = [(a - 2.0 * alpha * x) + alpha * alpha * y for a, x, y in zip(u0, r, v)]
+        k = n * n + n
+        point = (np.array(u[: n * n]).reshape(n, n), np.array(u[n * n : k]),
+                 np.array(u[k : k + n]) * scale, np.exp(np.array(u[k + n :])))
+        slop = backends._SLOP
+        ok = (all(np.isfinite(x).all() for x in point) and (point[0] >= -slop).all()
+              and (point[1] >= -slop).all() and (point[3] >= var_floor * (1.0 - slop)).all())
+    return (np.maximum(point[0], 0.0), np.maximum(point[1], 0.0), point[2],
+            np.maximum(point[3], var_floor)), ok
+
+
 def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_iter):
-    """Baum-Welch on one sequence as scalar loops over time and states: the
-    reference the batched engine is checked against."""
+    """Baum-Welch on one sequence as scalar loops over time and states, with
+    the engine's cycle of three rounds (see ``backends._em``): the round
+    after an M-step from θ0 and one from θ1 evaluates the extrapolated
+    point of a sequence of more than one chunk (see :func:`_squarem_loop`),
+    kept if it is no worse than θ1, else the fit goes on from θ2. The
+    reference the batched engine is checked against: returns the engine's
+    parameters, history, whether the fit stopped before ``max_iter`` M-steps
+    and its counts of M-steps and of extrapolations accepted, rejected and
+    fallen back."""
     T = obs.shape[0]
     n = init.shape[0]
     trans = trans.copy()
     init = init.copy()
     means = means.copy()
     variances = variances.copy()
-    hist = np.empty(max_iter + 1)
-    n_hist = 0
+    hist = []
+    counts = np.zeros(4, dtype=np.int64)
+    trial = False  # evaluating an extrapolated point
+    saved = []  # this cycle's points θ0 and θ1, then θ2
 
     b = np.empty((T, n))
     shifts = np.empty(T)
@@ -96,12 +137,16 @@ def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_ite
                 alpha[t, i] /= s
             ll += math.log(s) + shifts[t]
 
-        hist[n_hist] = ll
-        n_hist += 1
-        if n_hist > 1 and (ll - hist[n_hist - 2]) < tol:
+        keep = not trial or ll >= hist[-1]
+        if trial:
+            counts[1 if keep else 2] += 1
+        if keep:
+            hist.append(ll)
+        if it == max_iter or (len(hist) > 1 and not trial and (hist[-1] - hist[-2]) < tol):
             break
-        if it == max_iter:
-            break
+        counts[0] += 1
+        if it % 3 < 2:
+            saved.append((trans.copy(), init.copy(), means.copy(), variances.copy()))
 
         for i in range(n):
             beta[T - 1, i] = 1.0 / n
@@ -164,7 +209,20 @@ def _baum_welch_loop(obs, trans, init, means, variances, var_floor, tol, max_ite
                 means[i] = mu
                 variances[i] = var if var > var_floor else var_floor
 
-    return trans, init, means, variances, hist[:n_hist].copy()
+        if it % 3 == 2:
+            if not keep:
+                trans, init, means, variances = saved[0]
+            saved = []
+        trial = False
+        if it % 3 == 1:
+            point, ok = _squarem_loop(*saved, (trans, init, means, variances), var_floor)
+            trial = T > backends._CHUNK and ok and it + 1 < max_iter
+            counts[3] += T > backends._CHUNK and not trial
+            saved = [(trans.copy(), init.copy(), means.copy(), variances.copy())]
+            if trial:
+                trans, init, means, variances = (x.copy() for x in point)
+
+    return trans, init, means, variances, np.array(hist), counts[0] < max_iter, counts
 
 
 def batch_args(cases, max_iter):
@@ -283,3 +341,64 @@ class TestBatchedEngine:
         for k, case in enumerate(cases):
             alone = backends.baum_welch_batch(*batch_args([case], max_iter))
             assert_same_fits([p[k : k + 1] for p in out], alone)
+
+
+# lengths 4-300, with one chunk exactly full (16) and one step past it (17)
+LENGTHS = st.lists(st.one_of(st.integers(4, 300), st.sampled_from([16, 17])), min_size=1, max_size=12)
+CASES = {"random": random_case, "slow": slow_case}
+
+
+class TestExtrapolation:
+    """Properties of the engine's extrapolation cycle (see ``backends._em``)
+    on batches of quickly and slowly converging fits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(LENGTHS, st.sampled_from(sorted(CASES)), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @example([16, 17, 300], "slow", 60, 0)
+    def test_single_chunk_fits_never_extrapolate(self, lengths, kind, max_iter, seed):
+        """A fit of at most 16 steps counts no extrapolation, accepted,
+        rejected or fallen back, and its history has the length and the
+        values of the scalar loop's plain EM."""
+        rng = np.random.default_rng(seed)
+        cases = [CASES[kind](rng, t) for t in lengths]
+        out = backends.baum_welch_batch(*batch_args(cases, max_iter))
+        for k, (obs, trans, init, means, var) in enumerate(cases):
+            if obs.size > backends._CHUNK:
+                continue
+            ref = _baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, max_iter)
+            assert out[6][k, 1:].tolist() == ref[6][1:].tolist() == [0, 0, 0]
+            assert len(out[4][k]) == len(ref[4]) == out[6][k, 0] + 1
+            np.testing.assert_allclose(out[4][k], ref[4], rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(LENGTHS, st.sampled_from(sorted(CASES)), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_histories_never_decrease(self, lengths, kind, max_iter, seed):
+        """Each history holds accepted evaluations only, so it never drops
+        by more than rounding, extrapolations or not."""
+        rng = np.random.default_rng(seed)
+        out = backends.baum_welch_batch(*batch_args([CASES[kind](rng, t) for t in lengths], max_iter))
+        for h in out[4]:
+            assert np.all(np.diff(h) >= -1e-12 * np.abs(h[1:]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(LENGTHS, st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example([300, 17, 16], 3, 0)
+    def test_fits_cut_by_max_iter(self, lengths, max_iter, seed):
+        """A fit that the scalar loop cuts at ``max_iter`` has done exactly
+        ``max_iter`` M-steps and is not converged; every other fit has done
+        fewer and converged. A history holds one entry per round, that is
+        per M-step plus the last evaluation, less the rejected
+        extrapolations, and ends on the returned parameters, which no
+        extrapolation in the last round moved."""
+        rng = np.random.default_rng(seed)
+        cases = [slow_case(rng, t) for t in lengths]
+        out = backends.baum_welch_batch(*batch_args(cases, max_iter))
+        for k, (obs, trans, init, means, var) in enumerate(cases):
+            ref = _baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, max_iter)
+            steps, _, rejected, _ = out[6][k]
+            assert out[5][k] == ref[5] == (steps < max_iter)
+            assert steps == ref[6][0] <= max_iter
+            assert len(out[4][k]) == steps + 1 - rejected == len(ref[4])
+            np.testing.assert_allclose(out[4][k], ref[4], rtol=1e-8, atol=1e-12)
+            last = backends.forward_loglik(obs, *(p[k] for p in out[:4]))
+            np.testing.assert_allclose(out[4][k][-1], last, rtol=1e-8, atol=1e-12)

@@ -12,6 +12,7 @@ from triscope import (
     Dendrogram,
     InvalidInputError,
     backends,
+    clustering,
     Trajectories,
     center_trajectory,
     cut,
@@ -403,3 +404,21 @@ class TestDetectEvents:
             detect_events(t, min_duration=0)
         with pytest.raises(InvalidInputError):
             detect_events(t, gap_hours=-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 4), st.sampled_from(["normal", "ties", "decades"]),
+           st.integers(0, 2**32 - 1))
+    def test_median_is_numpys(self, rows, cols, kind, seed):
+        """The sort-based median of ``detect_events``, which keeps the
+        ``numpy.ma`` import out of the events stage, gives the bytes of
+        ``np.median`` along axis 0 and on a 1-D array, for odd and even
+        counts, ties, and values spread over hundreds of decades."""
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            x = rng.normal(size=(rows, cols))
+        elif kind == "ties":
+            x = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+        else:
+            x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-150, 150, size=(rows, cols))
+        assert clustering._median(x).tobytes() == np.median(x, axis=0).tobytes()
+        assert clustering._median(x[:, 0]).tobytes() == np.median(x[:, 0]).tobytes()
