@@ -82,8 +82,7 @@ def viterbi_kernel(obs, log_trans, log_init, means, variances):
 _BATCH_CELLS = 1 << 16
 # steps per chunk of the ragged layout and of the blocked scan (see _Layout)
 _CHUNK = 16
-# rounding an extrapolated probability or variance may take below 0 or the
-# floor (relative) and still be clipped there: boundary values cancel to 0
+# rounding an extrapolated point may go this far below 0 or (relatively) the floor
 _SLOP = 1e-12
 
 
@@ -305,8 +304,7 @@ def _backward(b, trans, ends, lay):
 
 
 def _views(theta, n):
-    """``trans`` (n, n, S), ``init``, ``means`` and ``variances`` (n, S) as
-    views of the parameter columns ``theta`` (n * n + 3n, S)."""
+    """``trans``, ``init``, ``means``, ``variances``: views of the columns ``theta``."""
     k = n * n
     return theta[:k].reshape(n, n, -1), theta[k : k + n], theta[k + n : k + 2 * n], theta[k + 2 * n :]
 
@@ -314,12 +312,11 @@ def _views(theta, n):
 def _squarem(t0, t1, t2, floor, n):
     """The SqS3 point ``θ0 − 2αr + α²v`` of each column of three successive
     EM points (Varadhan & Roland 2008), ``r = θ1 − θ0``, ``v = θ2 − 2θ1 +
-    θ0`` and ``α = −‖r‖/‖v‖`` capped at −1, and whether it is finite with no
-    negative probability and no variance below ``floor``, up to ``_SLOP``
-    (and then clipped). The coordinates
-    are the transitions, ``init``, the means over the root of θ0's mean
-    variance and the log variances; the norms add them in order, so a
-    column's arithmetic never depends on the others."""
+    θ0``, ``α = −‖r‖/‖v‖`` capped at −1, and whether it is finite with no
+    negative probability or variance below ``floor`` (clipped within
+    ``_SLOP``). Coordinates: transitions, ``init``, means over the root of
+    θ0's mean variance, log variances, their norms summed in order so that
+    a column's arithmetic never depends on the others."""
     k = n * n + n
     s2 = t0[k + n]
     for i in range(1, n):
@@ -362,18 +359,17 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
 
     Round ``r`` is phase ``r % 3`` of every fit's SqS3 cycle: phase 0
     evaluates θ0 and M-steps it to θ1, phase 1 evaluates θ1 and M-steps it
-    to θ2, and the fits with more than one chunk then move to the
-    extrapolated θ' (see :func:`_squarem`), which phase 2 evaluates. θ' is
-    accepted when its log-likelihood is at least θ1's, and M-stepped on;
-    otherwise it is rejected, its evaluation leaves no history entry, and
-    the fit goes on from θ2. A fit with one chunk, an unusable θ' or a next
-    round that is its last falls back: phase 2 evaluates θ2, so one-chunk
-    fits run plain EM. A fit stops when an evaluation that follows a plain
-    M-step gains less than ``tol``, or after ``max_iter`` M-steps; its
-    parameters are recorded at once, and its columns are dropped after that
-    round's M-step. Returns the parameters, the histories of accepted
-    evaluations and (S, 4) counts: M-steps, extrapolations accepted,
-    rejected and fallen back.
+    to θ2, then fits of more than one chunk move to θ' (see
+    :func:`_squarem`) and phase 2 evaluates it. θ' is accepted, and
+    M-stepped on, if its log-likelihood is at least θ1's; a rejected θ'
+    leaves no history entry and the fit goes on from θ2. One-chunk fits, an
+    unusable θ' and a fit's last round fall back: phase 2 evaluates θ2, so
+    one-chunk fits run plain EM. A fit stops when an evaluation after a
+    plain M-step gains less than ``tol``, or after ``max_iter`` M-steps; its
+    parameters are recorded at once and its columns dropped after that
+    round's M-step. Returns the parameters, the accepted evaluations'
+    histories and (S, 4) counts: M-steps, extrapolations accepted, rejected
+    and fallen back.
     """
     S = len(seqs)
     n = init.shape[1]
