@@ -35,9 +35,6 @@ class AnomalyRanking:
         idx = self.user_ids.index(user_id)
         return float(self.scores[idx])
 
-    def top(self, k: int) -> tuple[str, ...]:
-        return self.user_ids[:k]
-
 
 def user_scores(
     model: TuckerModel,

@@ -15,12 +15,15 @@ arithmetic is done across every chunk at once. Each EM round forms every
 chunk's transfer product once, and the forward and backward passes both
 run from them as a chunked two-level scan (see ``_chunk_ends``). Each sum
 over time is one ``np.bincount`` in an order fixed by the sequence's own
-length. Fits of more than one chunk take squared extrapolation (SqS3)
-steps, in lockstep cycles of three rounds, and the others run plain EM
-(see ``_em``). ``tests/test_backends.py`` pins the fits against a
-scalar-loop reference of the same cycle, and bit for bit against the same
-sequences fitted alone or in other batches; ``benchmarks/bench_backends.py``
-times the kernels.
+length. Every sum over states and every contraction goes through one
+helper, ``_ordered_sum`` or ``_contract``, that adds in state order, and
+that order is part of the bit-for-bit batch guarantee below. Fits of more
+than one chunk take squared extrapolation (SqS3) steps, in lockstep cycles
+of three rounds, and the others run plain EM (see ``_em``).
+``tests/test_backends.py`` pins the fits against a scalar-loop reference
+of the same cycle, and bit for bit against the same sequences fitted
+alone or in other batches; ``benchmarks/bench_backends.py`` times the
+kernels.
 
 Ward has one implementation, :func:`ward_linkage`, in numpy: each node
 caches its nearest neighbour, so a merge costs O(n) plus the rows it
@@ -38,14 +41,33 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _log_gauss(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(T, N) matrix of per-state Gaussian log-densities."""
-    diff = obs[:, None] - means[None, :]
-    return -0.5 * (_LOG_2PI + np.log(variances)[None, :] + diff * diff / variances[None, :])
+    """Gaussian log-densities of ``obs`` under ``means`` and ``variances``,
+    broadcast against each other."""
+    diff = obs - means
+    return -0.5 * (_LOG_2PI + np.log(variances) + diff * diff / variances)
+
+
+def _ordered_sum(xs):
+    """``xs[0] + xs[1] + ...``, added in that order."""
+    # indexed, not sliced: a slice costs about as much as a small addition
+    s = xs[0]
+    for i in range(1, len(xs)):
+        s = s + xs[i]
+    return s
+
+
+def _contract(a, m):
+    """``a[0] * m[0] + a[1] * m[1] + ...``, accumulated in place in that
+    order; ``a @ m`` per column for ``a`` (n, W) and ``m`` (n, n, W)."""
+    out = a[0] * m[0]
+    for j in range(1, len(a)):
+        out += a[j] * m[j]
+    return out
 
 
 def forward_loglik(obs, trans, init, means, variances):
     """Scaled forward recursion; returns log P(obs | model)."""
-    logb = _log_gauss(obs, means, variances)
+    logb = _log_gauss(obs[:, None], means, variances)
     loglik = 0.0
     prev = init
     for t in range(obs.shape[0]):
@@ -60,7 +82,7 @@ def forward_loglik(obs, trans, init, means, variances):
 
 def viterbi_kernel(obs, log_trans, log_init, means, variances):
     """Most-probable state path in log space; ties prefer the lower state."""
-    logb = _log_gauss(obs, means, variances)
+    logb = _log_gauss(obs[:, None], means, variances)
     T, n = logb.shape
     psi = np.zeros((T, n), dtype=np.int64)
     delta = log_init + logb[0]
@@ -102,13 +124,14 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
     ``max_iter`` M-steps, and ``counts`` (B, 4): each fit's M-steps and its
     extrapolations accepted, rejected and fallen back.
     """
-    trans = np.array(trans, dtype=np.float64)
-    init = np.array(init, dtype=np.float64)
-    means = np.array(means, dtype=np.float64)
-    variances = np.array(variances, dtype=np.float64)
+    B, n = len(seqs), np.shape(init)[1]
+    # each sequence's parameters in one column, so that a point of the
+    # cycle is one copy; the M-step writes them in place through _views
+    theta = np.concatenate((np.reshape(trans, (B, n * n)), init, means, variances),
+                           axis=1, dtype=np.float64).T
     var_floor = np.asarray(var_floor, dtype=np.float64)
-    hists = [None] * len(seqs)
-    counts = np.zeros((len(seqs), 4), dtype=np.int64)
+    hists = [None] * B
+    counts = np.zeros((B, 4), dtype=np.int64)
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     cells = (-(-lengths[order] // _CHUNK) * _CHUNK).tolist()
@@ -119,16 +142,15 @@ def baum_welch_batch(seqs, trans, init, means, variances, var_floor, tol, max_it
             total += cells[stop]
             stop += 1
         idx = order[start:stop]
-        out = _em(
-            [seqs[k] for k in idx], trans[idx], init[idx], means[idx], variances[idx],
-            var_floor[idx], tol, max_iter,
+        # a C-contiguous copy (``theta[:, idx]`` is not), so that _views are views
+        theta[:, idx], batch_hists, counts[idx] = _em(
+            [seqs[k] for k in idx], np.take(theta, idx, axis=1), var_floor[idx], tol, max_iter, n
         )
-        trans[idx], init[idx], means[idx], variances[idx] = out[:4]
-        for k, h in zip(idx, out[4]):
+        for k, h in zip(idx, batch_hists):
             hists[k] = h
-        counts[idx] = out[5]
         start = stop
-    return trans, init, means, variances, hists, counts[:, 0] < max_iter, counts
+    trans, init, means, variances = _views(theta, n)
+    return np.moveaxis(trans, -1, 0), init.T, means.T, variances.T, hists, counts[:, 0] < max_iter, counts
 
 
 class _Layout:
@@ -219,16 +241,9 @@ def _chunk_ends(b, mat, init, lay):
     prod = mc * ec[0]
     prod[:, :, : lay.long] = np.eye(n)[:, :, None] * ec[0, :, : lay.long]
     for k in range(1, b.shape[0]):
-        nxt = prod[:, 0, None] * mc[0]
-        for j in range(1, n):
-            nxt += prod[:, j, None] * mc[j]
+        nxt = _contract(prod.swapaxes(0, 1)[:, :, None], mc)
         nxt *= ec[k]
-        s = nxt[0, 0]
-        for i in range(n):
-            for j in range(n):
-                if i or j:
-                    s = s + nxt[i, j]
-        prod = np.divide(nxt, s, out=nxt)
+        prod = np.divide(nxt, _ordered_sum(nxt.reshape(n * n, -1)), out=nxt)
     pair = np.take(np.concatenate((prod, prod.swapaxes(0, 1)), axis=2), lay.pair, axis=2)
     out = np.empty((n, pair.shape[2]))
     y = np.empty((n, 2 * lay.long))
@@ -236,23 +251,10 @@ def _chunk_ends(b, mat, init, lay):
     y[:, 1::2] = 1.0 / n
     p = 0
     for m in lay.carry:
-        v = y[0, :m] * pair[0, :, p : p + m]
-        for i in range(1, n):
-            v += y[i, :m] * pair[i, :, p : p + m]
-        s = v[0]
-        for j in range(1, n):
-            s = s + v[j]
-        y = out[:, p : p + m] = v / s
+        v = _contract(y[:, :m], pair[:, :, p : p + m])
+        y = out[:, p : p + m] = v / _ordered_sum(v)
         p += m
     return out
-
-
-def _predict(a, trans):
-    """``a @ trans`` per column, summed over states in order."""
-    raw = a[0] * trans[0]
-    for j in range(1, a.shape[0]):
-        raw += a[j] * trans[j]
-    return raw
 
 
 def _forward(b, trans, init, ends, lay):
@@ -267,15 +269,13 @@ def _forward(b, trans, init, ends, lay):
     scale = np.empty((K, W))
     raw = np.empty((n, W))
     raw[:, : lay.S] = init
-    raw[:, lay.S :] = _predict(ends[:, 0::2], trans[:, :, lay.S :])
+    raw[:, lay.S :] = _contract(ends[:, 0::2], trans[:, :, lay.S :])
     raw *= b[0]
     for k in range(K):
         if k:
-            raw = _predict(alpha[k - 1], trans)
+            raw = _contract(alpha[k - 1], trans)
             raw *= b[k]
-        s = raw[0]
-        for i in range(1, n):
-            s = s + raw[i]
+        s = _ordered_sum(raw)
         np.divide(raw, s, out=alpha[k])
         scale[k] = s
     return alpha, scale
@@ -291,15 +291,10 @@ def _backward(b, trans, ends, lay):
     beta = np.empty_like(b)
     beta[-1] = 1.0 / n
     beta[-1][:, lay.back] = ends[:, 1::2]
+    cols = trans.swapaxes(0, 1)  # cols[j] is column j of each matrix
     for k in range(K - 2, -1, -1):
-        nxt = b[k + 1] * beta[k + 1]
-        v = trans[:, 0] * nxt[0]
-        for j in range(1, n):
-            v += trans[:, j] * nxt[j]
-        s = v[0]
-        for i in range(1, n):
-            s = s + v[i]
-        np.divide(v, s, out=beta[k])
+        v = _contract(b[k + 1] * beta[k + 1], cols)
+        np.divide(v, _ordered_sum(v), out=beta[k])
     return beta
 
 
@@ -318,20 +313,13 @@ def _squarem(t0, t1, t2, floor, n):
     θ0's mean variance, log variances, their norms summed in order so that
     a column's arithmetic never depends on the others."""
     k = n * n + n
-    s2 = t0[k + n]
-    for i in range(1, n):
-        s2 = s2 + t0[k + n + i]
-    scale = np.sqrt(s2 / n)
+    scale = np.sqrt(_ordered_sum(t0[k + n :]) / n)
     with np.errstate(all="ignore"):
         u0, u1, u2 = (np.concatenate((t[:k], t[k : k + n] / scale, np.log(t[k + n :])))
                       for t in (t0, t1, t2))
         r = u1 - u0
         v = (u2 - 2.0 * u1) + u0
-        rr, vv = r[0] * r[0], v[0] * v[0]
-        for j in range(1, r.shape[0]):
-            rr = rr + r[j] * r[j]
-            vv = vv + v[j] * v[j]
-        alpha = np.minimum(-np.sqrt(rr) / np.sqrt(vv), -1.0)
+        alpha = np.minimum(-np.sqrt(_ordered_sum(r * r)) / np.sqrt(_ordered_sum(v * v)), -1.0)
         u = (u0 - 2.0 * alpha * r) + alpha * alpha * v
         out = np.concatenate((u[:k], u[k : k + n] * scale, np.exp(u[k + n :])))
         ok = np.isfinite(out).all(axis=0) & (out[:k] >= -_SLOP).all(axis=0)
@@ -341,9 +329,10 @@ def _squarem(t0, t1, t2, floor, n):
     return out, ok
 
 
-def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
-    """One batch of :func:`baum_welch_batch`; ``seqs`` are sorted by
-    non-increasing length.
+def _em(seqs, theta, var_floor, tol, max_iter, n):
+    """One batch of :func:`baum_welch_batch`: ``seqs`` are sorted by
+    non-increasing length, and ``theta`` holds their ``n``-state
+    parameters, one column each (see :func:`_views`).
 
     The observations sit in the ragged chunk layout (see :class:`_Layout`),
     each sequence's last chunk edge-padded. Each round evaluates every live
@@ -367,21 +356,17 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
     one-chunk fits run plain EM. A fit stops when an evaluation after a
     plain M-step gains less than ``tol``, or after ``max_iter`` M-steps; its
     parameters are recorded at once and its columns dropped after that
-    round's M-step. Returns the parameters, the accepted evaluations'
-    histories and (S, 4) counts: M-steps, extrapolations accepted, rejected
-    and fallen back.
+    round's M-step. Returns the parameters as columns, the accepted
+    evaluations' histories and (S, 4) counts: M-steps, extrapolations
+    accepted, rejected and fallen back.
     """
     S = len(seqs)
-    n = init.shape[1]
     L = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     lay = _Layout(L)
     step = np.minimum(lay.chunk * _CHUNK + np.arange(_CHUNK)[:, None], L[lay.seq] - 1)
     first = np.cumsum(L) - L  # each sequence's offset in the concatenation
     obs = np.concatenate(seqs)[first[lay.seq] + step]  # each last chunk edge-padded
     del step, first
-    # each sequence's parameters in one column, so that a point of the
-    # cycle is one copy; the M-step writes them in place through the views
-    theta = np.concatenate((trans.reshape(S, n * n), init, means, variances), axis=1).T.copy()
     trans, init, means, variances = _views(theta, n)
 
     out = np.empty_like(theta)  # each fit's parameters when it stops
@@ -396,13 +381,9 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
 
     for it in range(max_iter + 1):
         tc = np.take(trans, lay.seq, axis=2)
-        log_var = np.take(np.log(variances), lay.seq, axis=1)
-        mc = np.take(means, lay.seq, axis=1)
-        vc = np.take(variances, lay.seq, axis=1)
-        b = np.empty((_CHUNK, n, lay.W))  # log-densities, then factors
-        for i in range(n):
-            d = obs - mc[i]
-            b[:, i] = -0.5 * (_LOG_2PI + log_var[i] + d * d / vc[i])
+        # log-densities, then factors
+        b = _log_gauss(obs[:, None], np.take(means, lay.seq, axis=1),
+                       np.take(variances, lay.seq, axis=1))
         shifts = b.max(axis=1)
         np.exp(np.subtract(b, shifts[:, None], out=b), out=b)
         # unit factors in the padding: its steps keep a positive sum both ways
@@ -438,11 +419,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         beta = _backward(b, tc, ends, lay)
         del ends
         gamma = alpha * beta
-        gs = gamma[:, 0]
-        for i in range(1, n):
-            gs = gs + gamma[:, i]
-        gamma /= gs[:, None]
-        del gs
+        gamma /= _ordered_sum(gamma.swapaxes(0, 1))[:, None]
 
         # b becomes the factor of the step after each cell, in place; row
         # 15 reads row 0 of the sequence's next chunk
@@ -452,11 +429,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
         del beta
         m = [[(alpha[:, i] * tc[i, j]) * b[:, j] for j in range(n)] for i in range(n)]
         del alpha, b  # freed before the M-step, whose sums set peak memory
-        ms = m[0][0]
-        for i in range(n):
-            for j in range(n):
-                if i or j:
-                    ms = ms + m[i][j]
+        ms = _ordered_sum([x for row in m for x in row])
 
         # M-step; every sum over time adds in a fixed order (see _Layout.sums)
         gsum_tr = [lay.sums(gamma[:, i], lay.tr) for i in range(n)]
@@ -467,9 +440,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
             for i in range(n):
                 xi = [lay.sums(np.divide(m[i][j], ms, out=m[i][j]), lay.tr) for j in range(n)]
                 row = [x / gsum_tr[i] for x in xi]
-                rs = row[0]
-                for j in range(1, n):
-                    rs = rs + row[j]
+                rs = _ordered_sum(row)
                 # a row whose expected transitions all underflow keeps its
                 # values, like a state never visited before the last step
                 seen = (gsum_tr[i] > 0.0) & (rs > 0.0)
@@ -506,8 +477,7 @@ def _em(seqs, trans, init, means, variances, var_floor, tol, max_iter):
             saved = [theta.copy()]
             theta[:, trial] = point[:, trial]
 
-    trans, init, means, variances = _views(out, n)
-    return np.moveaxis(trans, -1, 0), init.T, means.T, variances.T, hists, counts
+    return out, hists, counts
 
 
 def ward_linkage(points):

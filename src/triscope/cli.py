@@ -31,6 +31,9 @@ from .anomaly import user_scores
 from .clustering import center_trajectory, cut, detect_events, ward_cluster
 from .errors import DegenerateInputError, InvalidInputError, NumericalError, TriscopeError
 from .ingest import (
+    PROV_FALLBACK,
+    PROV_HOUR,
+    PROV_ZERO,
     FeatureTensor,
     HmmConfig,
     build_feature_tensor,
@@ -409,9 +412,9 @@ def stage_ingest(cfg: PipelineConfig) -> FeatureTensor:
             "scale_mean": [float(v) for v in ft.scale_mean],
             "scale_sd": [float(v) for v in ft.scale_sd],
             "provenance_counts": {
-                "hour_fit": int((prov == 2).sum()),
-                "fallback": int((prov == 1).sum()),
-                "zero": int((prov == 0).sum()),
+                "hour_fit": int((prov == PROV_HOUR).sum()),
+                "fallback": int((prov == PROV_FALLBACK).sum()),
+                "zero": int((prov == PROV_ZERO).sum()),
             },
             "hmm": asdict(hmm),
         },
@@ -530,6 +533,8 @@ def _run_stage(stage: str, fn, *args):
         raise StageError(stage, f"I/O failure: {exc}", EXIT_IO) from exc
     except (InvalidInputError, DegenerateInputError, NumericalError, TriscopeError) as exc:
         raise StageError(stage, str(exc), _STAGE_EXIT[stage]) from exc
+    except MemoryError as exc:
+        raise StageError(stage, f"out of memory: {exc}", _STAGE_EXIT[stage]) from exc
 
 
 def cmd_synth(args) -> int:

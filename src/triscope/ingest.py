@@ -33,12 +33,12 @@ HMM config, never on the other users in the log.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .hmm import baum_welch_many
+from .tensor import _opened
 
 __all__ = [
     "FEATURE_NAMES",
@@ -157,14 +157,6 @@ class FeatureTensor:
             raise InvalidInputError("feature_names length must match second extent")
         object.__setattr__(self, "tensor", t)
 
-    @property
-    def n_users(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def n_hours(self) -> int:
-        return self.tensor.shape[2]
-
 
 @dataclass(frozen=True)
 class HmmConfig:
@@ -193,10 +185,9 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
     """
     if window_hours < 1:
         raise InvalidInputError(f"window_hours must be >= 1, got {window_hours}")
-    own = isinstance(source, (str, Path))
-    f = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
-        raw = f.read()
+        with _opened(source, "r") as f:
+            raw = f.read()
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -206,9 +197,6 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
         raise InvalidInputError(
             f"line {len((head + 'x').splitlines())}: not valid UTF-8: {exc.reason}"
         ) from exc
-    finally:
-        if own:
-            f.close()
 
     lines = raw.splitlines()
     if not lines or lines[0].strip().lstrip("﻿") != _HEADER:
@@ -272,15 +260,10 @@ def parse_log(source, window_start: int | None = None, window_hours: int = 720) 
 
 def write_log(log: NotificationLog, target) -> None:
     """Write a log back to the CSV wire format."""
-    own = isinstance(target, (str, Path))
-    f = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
+    with _opened(target, "w") as f:
         f.write(_HEADER + "\n")
         for u, t in zip(log.users, log.timestamps):
             f.write(f"{u},{int(t)}\n")
-    finally:
-        if own:
-            f.close()
 
 
 def compute_deltas(log: NotificationLog) -> HourlyDeltas:

@@ -19,6 +19,7 @@ last one fastest):
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -172,22 +173,23 @@ def _write_values(f, values: np.ndarray) -> None:
         f.write(("%.17g\n" * len(block)) % tuple(block))
 
 
-def _open_for(target, mode: str):
+@contextmanager
+def _opened(target, mode: str):
+    """``target`` itself if it is a stream; a path is opened as UTF-8 text
+    in ``mode``, with no newline translation, and closed on exit."""
     if isinstance(target, (str, Path)):
-        return open(target, mode, encoding="utf-8", newline="\n"), True
-    return target, False
+        with open(target, mode, encoding="utf-8", newline="\n") as f:
+            yield f
+    else:
+        yield target
 
 
 def write_tensor_text(t: np.ndarray, target) -> None:
     """Write ``I J K`` then one value per line, C-order, 17 significant digits."""
     t = _check_tensor(t)
-    f, owned = _open_for(target, "w")
-    try:
+    with _opened(target, "w") as f:
         f.write(f"{t.shape[0]} {t.shape[1]} {t.shape[2]}\n")
         _write_values(f, t)
-    finally:
-        if owned:
-            f.close()
 
 
 def _read_block(tokens: list[str], pos: int, ndim: int, what: str) -> tuple[np.ndarray, int]:
@@ -207,12 +209,8 @@ def _read_block(tokens: list[str], pos: int, ndim: int, what: str) -> tuple[np.n
 
 def read_tensor_text(source) -> np.ndarray:
     """Read what :func:`write_tensor_text` wrote (any whitespace between tokens)."""
-    f, owned = _open_for(source, "r")
-    try:
+    with _opened(source, "r") as f:
         tokens = f.read().split()
-    finally:
-        if owned:
-            f.close()
     t, end = _read_block(tokens, 0, 3, "tensor text")
     if end != len(tokens):
         raise InvalidInputError(f"tensor text has {len(tokens) - end} values beyond its extents {t.shape}")
@@ -224,10 +222,6 @@ def write_matrix_text(m: np.ndarray, target) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {m.shape}")
-    f, owned = _open_for(target, "w")
-    try:
+    with _opened(target, "w") as f:
         f.write(f"{m.shape[0]} {m.shape[1]}\n")
         _write_values(f, m)
-    finally:
-        if owned:
-            f.close()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 from .tensor import (
-    _open_for,
+    _opened,
     _read_block,
     frobenius_norm,
     matrix,
@@ -457,8 +457,7 @@ _MODEL_HEADER = "triscope tucker model v1"
 
 def save_model(model: TuckerModel, target) -> None:
     """Text serialization: dims, fit, then core/factor blocks (17 sig digits)."""
-    f, own = _open_for(target, "w")
-    try:
+    with _opened(target, "w") as f:
         f.write(_MODEL_HEADER + "\n")
         f.write(f"{model.p} {model.q} {model.r}\n")
         f.write(f"fit {format(model.fit_percent, '.17g')}\n")
@@ -467,18 +466,11 @@ def save_model(model: TuckerModel, target) -> None:
         for name, fac in (("factor_a", model.factor_a), ("factor_b", model.factor_b), ("factor_c", model.factor_c)):
             f.write(name + "\n")
             write_matrix_text(fac, f)
-    finally:
-        if own:
-            f.close()
 
 
 def load_model(source) -> TuckerModel:
-    f, own = _open_for(source, "r")
-    try:
+    with _opened(source, "r") as f:
         tokens = f.read().split()
-    finally:
-        if own:
-            f.close()
     if tokens[:4] != _MODEL_HEADER.split():
         raise InvalidInputError("not a triscope tucker model file")
     try:

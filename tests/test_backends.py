@@ -35,6 +35,18 @@ def slow_case(rng, t):
     return obs, trans, np.array([0.5, 0.5]), np.array([9.0, 13.0]), np.array([9.0, 9.0])
 
 
+def three_state_case(rng, t):
+    """Three states, so that each sum over states takes more than one
+    addition and the order in which the engine adds shows in its bits."""
+    means = np.array([5.0, 60.0, 700.0])
+    obs = rng.exponential(rng.choice(means, t))
+    trans = rng.uniform(0.1, 1.0, size=(3, 3))
+    trans /= trans.sum(axis=1, keepdims=True)
+    init = rng.uniform(0.1, 1.0, size=3)
+    init /= init.sum()
+    return obs, trans, init, means, means * means
+
+
 def absorbing_case(rng, t):
     """Near-absorbing start (off-diagonal 1e-19) on alternating, well
     separated observations: every likely path switches state at each step,
@@ -253,22 +265,24 @@ class TestBatchedEngine:
         scalar loop reference. The lengths cover one chunk, full (16) and
         partial, the first chunk ends (17, 33, 64), the blocked scan up to
         T = 1000, and one step either side of the fifth chunk's end; two
-        starts are nearly absorbing. No step, padding included, divides 0
-        by 0."""
+        starts are nearly absorbing. A second batch has three states. No
+        step, padding included, divides 0 by 0."""
         rng = np.random.default_rng(4)
         size = backends._CHUNK
         m = 5
         cases = [random_case(rng, t) for t in (8, 60, 25, 90, 16, 17, 33, 4 * size)]
         cases += [slow_case(rng, t) for t in (1000, size * m - 1, size * m, size * m + 1)]
         cases += [absorbing_case(rng, t) for t in (300, size * m + 1)]
-        with np.errstate(divide="raise", invalid="raise"):
-            out = backends.baum_welch_batch(*batch_args(cases, 40))
-        for k, (obs, trans, init, means, var) in enumerate(cases):
-            ref = _baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, 40)
-            got = [p[k] for p in out]
-            assert len(got[4]) == len(ref[4])
-            for a, b in zip(got, ref):
-                np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
+        three = [three_state_case(rng, t) for t in (12, 16, 17, 90, size * m + 1, 600)]
+        for batch in (cases, three):
+            with np.errstate(divide="raise", invalid="raise"):
+                out = backends.baum_welch_batch(*batch_args(batch, 40))
+            for k, (obs, trans, init, means, var) in enumerate(batch):
+                ref = _baum_welch_loop(obs, trans, init, means, var, 1e-9, 1e-6, 40)
+                got = [p[k] for p in out]
+                assert len(got[4]) == len(ref[4])
+                for a, b in zip(got, ref):
+                    np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
 
     def test_batch_size_cap_splits_without_changing_results(self, monkeypatch):
         """A cap of 200 chunk cells cuts the sequences, longest first, into
@@ -327,16 +341,19 @@ class TestBatchedEngine:
         ),
         st.integers(1, 40),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([random_case, three_state_case]),
     )
-    @example([15, 16, 17], 40, 0)
-    @example([5, 20, 12, 17, 8], 40, 1)
-    @example([16], 40, 2)
-    def test_fit_independent_of_batch(self, lengths, max_iter, seed):
+    @example([15, 16, 17], 40, 0, random_case)
+    @example([5, 20, 12, 17, 8], 40, 1, random_case)
+    @example([16], 40, 2, random_case)
+    @example([15, 16, 17, 300, 40, 90], 40, 3, three_state_case)
+    def test_fit_independent_of_batch(self, lengths, max_iter, seed, case):
         """Each fit of a batch equals the fit of its sequence alone, bit for
         bit: the arithmetic of a sequence depends only on its own length,
-        never on the chunk counts or the number of its companions."""
+        never on the chunk counts or the number of its companions. With
+        three states, each sum over states adds more than two terms."""
         rng = np.random.default_rng(seed)
-        cases = [random_case(rng, t) for t in lengths]
+        cases = [case(rng, t) for t in lengths]
         out = backends.baum_welch_batch(*batch_args(cases, max_iter))
         for k, case in enumerate(cases):
             alone = backends.baum_welch_batch(*batch_args([case], max_iter))

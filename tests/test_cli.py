@@ -364,6 +364,16 @@ class TestFailureModes:
         assert main(args) == EXIT_INGEST
         assert "64-bit" in capsys.readouterr().err
 
+    def test_window_too_large_to_allocate_fails_at_ingest(self, tmp_path, capsys):
+        """A window that fits int64 seconds but not memory: the users x hours
+        message counts ask numpy for 14.2 PiB, which it refuses at once."""
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,timestamp\nu,0\nu,10\n")
+        args = ["ingest", "--log", str(log), "--out-dir", str(tmp_path / "o"),
+                "--window-hours", "2000000000000000"]
+        assert main(args) == EXIT_INGEST
+        assert capsys.readouterr().err.startswith("error: ingest: out of memory")
+
     def test_hmm_seed_is_gone(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"hmm_seed": 0}')
